@@ -189,9 +189,10 @@ type Options struct {
 	// the model has independent query variables (Section 5.2 regime).
 	// With correlation factors present it falls back to Gibbs.
 	ExactInference bool
-	// ParallelInference samples independent query variables across all
-	// CPUs (the DimmWitted [41] regime); deterministic per seed. It has
-	// no effect on models with correlation factors.
+	// ParallelInference samples the chains of independent query
+	// variables across all CPUs (the DimmWitted [41] regime). It changes
+	// wall-clock only: results are byte-identical either way. It has no
+	// effect on models with correlation factors.
 	ParallelInference bool
 	// MaxScanCounterparts caps DC grounding when no equality predicate
 	// can index the join (0 = unlimited).
@@ -223,17 +224,11 @@ type Options struct {
 	// each color class — mutually non-adjacent variables — is swept by
 	// IntraWorkers goroutines in parallel. Per-variable counter-based RNG
 	// streams make the draw sequence a function of variable identity
-	// alone, so results are bit-identical for every IntraWorkers value.
+	// alone, so like ParallelInference it changes wall-clock only:
+	// results are bit-identical for every IntraWorkers value.
 	// 0 means 1 (sequential within a shard); total goroutines are
 	// bounded by Workers × IntraWorkers.
 	IntraWorkers int
-	// FastSweeps trades the chromatic sampler's bit-reproducibility for
-	// throughput: per-worker RNG streams and dynamic load balancing
-	// replace the per-variable streams. Statistically equivalent — the
-	// chromatic schedule is unchanged, only which worker draws for which
-	// variable — but NOT reproducible across runs or worker counts. Has
-	// no effect on shards below the chromatic threshold.
-	FastSweeps bool
 	// MaxComponentCells, when positive, splits conflict components whose
 	// cell count exceeds it into tuple-aligned sub-shards, bounding the
 	// largest grounding and sampling unit (and therefore per-shard memory
@@ -622,9 +617,9 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	var reusedCells []int
 	if inc != nil && inc.dirty != nil {
 		// Dirty-set mode: only shards invalidated by the delta run; in
-		// the independent-variable fast-path regime the dirty cells are
-		// re-batched so clean cells in mixed batches are reused too.
-		rebatch := !o.Variant.DCFactors && (o.ParallelInference || o.ExactInference)
+		// the independent-variable regime the dirty cells are re-batched
+		// so clean cells in mixed batches are reused too.
+		rebatch := !o.Variant.DCFactors
 		execPlan, reusedCells = splitPlan(plan, prep.Domains.Cells, inc.dirty, rebatch, inc.prevSigs)
 	}
 	res.Stats.Shards = len(execPlan)

@@ -270,8 +270,8 @@ func TestCleanWorkersEquivalent(t *testing.T) {
 
 // TestCleanWorkersEquivalentMultiShard repeats the determinism check on
 // a dataset large enough to split into many shards (hundreds of noisy
-// cells across independent conflict groups), with both the per-variable
-// parallel sampler and the sequential sweep sampler.
+// cells across independent conflict groups), with ParallelInference on
+// and off — which must not change a byte of the result either.
 func TestCleanWorkersEquivalentMultiShard(t *testing.T) {
 	build := func() (*Dataset, []*Constraint) {
 		ds := NewDataset([]string{"Key", "Val", "Tag"})
@@ -285,6 +285,7 @@ func TestCleanWorkersEquivalentMultiShard(t *testing.T) {
 		}
 		return ds, FD("fd", []string{"Key"}, []string{"Val"})
 	}
+	byParallel := make(map[bool]*Result)
 	for _, parallel := range []bool{true, false} {
 		var base *Result
 		for _, w := range []int{1, 7} {
@@ -298,6 +299,7 @@ func TestCleanWorkersEquivalentMultiShard(t *testing.T) {
 			}
 			if w == 1 {
 				base = res
+				byParallel[parallel] = res
 				if res.Stats.Shards < 2 {
 					t.Fatalf("parallel=%v: shards = %d, want >= 2", parallel, res.Stats.Shards)
 				}
@@ -321,6 +323,7 @@ func TestCleanWorkersEquivalentMultiShard(t *testing.T) {
 			}
 		}
 	}
+	requireIdenticalResults(t, "ParallelInference=false vs true", byParallel[false], byParallel[true])
 }
 
 // TestCleanShardStats checks that the sharded pipeline reports its shard

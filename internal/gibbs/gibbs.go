@@ -1,18 +1,23 @@
 // Package gibbs implements the approximate-inference engine HoloClean runs
 // over its grounded factor graph (Section 2.2): single-site Gibbs sampling
-// with burn-in, marginal estimation, and MAP extraction. For the relaxed
-// models of Section 5.2 the graph has only independent query variables,
-// where Gibbs is guaranteed to mix in O(n log n) steps [21, 36]; the
-// sampler also exposes that closed form directly (Exact), which tests use
-// to validate the sampler and callers can use as a fast path.
+// with burn-in, marginal estimation, and MAP extraction.
+//
+// Run is one kernel with one RNG discipline: every query variable draws
+// from its own splitmix64 stream, seeded by the variable's identity, so a
+// variable's draws never depend on which goroutine makes them or in what
+// order the other variables are visited. Graphs with query-side
+// correlations are swept class by class (Config.Colors); the relaxed
+// models of Section 5.2 have only independent query variables, where
+// Gibbs mixes in O(n log n) steps [21, 36] and each variable's chain runs
+// start to finish on its own. The sampler also exposes that regime's
+// closed form (Exact), which tests use to validate the sampler and callers
+// can use as a fast path.
 package gibbs
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"holoclean/internal/factor"
 )
@@ -25,106 +30,60 @@ type Config struct {
 	// Samples is the number of sweeps whose states are accumulated into
 	// the marginal estimates.
 	Samples int
-	// Seed makes runs reproducible.
+	// Seed makes runs reproducible: with VarSeed nil, variable v draws
+	// from the stream seeded Seed + v·1_000_003.
 	Seed int64
-	// Parallel samples independent query variables across all CPUs, the
-	// way DimmWitted [41] parallelizes inference. It applies only when no
-	// correlation factor touches a query variable (the Section 5.2
-	// regime) — each variable's conditional then depends only on clamped
-	// evidence, so per-variable chains are exact and race-free. Graphs
-	// with query-side correlations fall back to sequential sweeps.
+	// Parallel spreads the chains of an independent graph (no n-ary
+	// factor on a query variable, the Section 5.2 regime) across
+	// GOMAXPROCS goroutines, the way DimmWitted [41] parallelizes
+	// inference. It changes wall-clock only, never a bit of the result:
+	// each chain draws from its own stream against a conditional fixed by
+	// the evidence. Correlated graphs ignore it.
 	Parallel bool
-	// VarSeed, when non-nil, supplies the full per-variable chain seed for
-	// the Parallel regime (len == number of variables). The sharded
-	// pipeline uses it to seed each variable's chain by its global
-	// identity rather than its index in the shard-local graph, so
-	// per-shard inference reproduces monolithic inference bit for bit.
-	// Nil falls back to Seed + v·1e6+3 per variable. Sequential sweeps
-	// ignore it.
+	// VarSeed, when non-nil, supplies the full per-variable stream seed
+	// (len == number of variables). The sharded pipeline uses it to seed
+	// each variable by its global identity rather than its index in the
+	// shard-local graph, so per-shard inference reproduces monolithic
+	// inference bit for bit.
 	VarSeed []int64
-	// Colors, when non-nil, selects the chromatic sweep schedule for
-	// graphs with query-side correlations: each entry is one color class —
-	// query variables that share no n-ary factor — and every sweep samples
-	// the classes in order, each class across IntraWorkers goroutines.
-	// Within a class the conditionals are mutually independent given the
-	// other classes, so the parallel class sweep is a valid single-site
-	// Gibbs schedule. Every variable draws from its own counter-based
-	// stream seeded by Seed/VarSeed, so deterministic mode (Fast == false)
-	// is bit-identical for every IntraWorkers value, including 1. The
-	// chromatic schedule visits variables in class order rather than the
-	// sequential sampler's shuffled order, so its draws differ from Run's
-	// sequential mode — equivalence holds across worker counts, not across
-	// schedules. Colors must cover exactly the query variables of the
-	// graph.
+	// Colors, when non-nil, is the sweep schedule of a graph with
+	// query-side correlations: each entry is one color class — query
+	// variables that share no n-ary factor — and every sweep samples the
+	// classes in order, each class across IntraWorkers goroutines. Within
+	// a class the conditionals are mutually independent given the other
+	// classes, so the parallel class sweep is a valid single-site Gibbs
+	// schedule, and per-variable streams make it bit-identical for every
+	// IntraWorkers value, including 1. Colors must cover exactly the
+	// query variables of the graph. Nil sweeps the query variables one at
+	// a time in index order. Independent graphs ignore it.
 	Colors [][]int32
-	// IntraWorkers bounds the goroutines sampling one color class
-	// (chromatic schedule only). Values <= 1 sweep sequentially — the
-	// reference schedule parallel runs must reproduce bit for bit.
+	// IntraWorkers bounds the goroutines sampling one color class.
+	// Values <= 1 sweep sequentially; like Parallel it changes
+	// wall-clock only.
 	IntraWorkers int
-	// Fast trades the per-variable deterministic streams of the chromatic
-	// schedule for per-worker RNGs with dynamic load balancing. The result
-	// is a valid sample from the same chain family — statistically
-	// equivalent — but NOT reproducible across runs or worker counts; the
-	// equivalence and byte-identity suites must not enable it.
-	Fast bool
 	// Scratch, when non-nil, supplies every working buffer of the run —
-	// marginal-count arenas, score buffers, sweep order, RNG state — so a
-	// warmed scratch makes steady-state sweeps allocation-free. The
-	// returned Marginals borrow the scratch's arenas and stay valid only
-	// until the scratch's next Run; callers must extract what they need
-	// before reusing or releasing it. Nil allocates fresh buffers, the
-	// original behavior. Scratch or not, results are bit-identical.
+	// marginal-count arenas, score buffers, RNG state — so a warmed
+	// scratch makes steady-state sweeps allocation-free. The returned
+	// Marginals borrow the scratch's arenas and stay valid only until the
+	// scratch's next Run; callers must extract what they need before
+	// reusing or releasing it. Nil allocates fresh buffers. Scratch or
+	// not, results are bit-identical.
 	Scratch *Scratch
 }
 
 // Scratch is the reusable working memory of one sampler run: a flat
-// marginal-count arena with per-variable views, the score buffer, sweep
-// ordering, and re-seedable RNG state (per-worker for the parallel
-// regime). The sharded pipeline pools scratches across its worker pool
-// and across Session recleans via AcquireScratch/ReleaseScratch, so
-// steady-state serving recleans approach zero sampler allocations.
+// marginal-count arena with per-variable views, the per-variable stream
+// states, and one score buffer per goroutine. The sharded pipeline pools
+// scratches across its worker pool and across Session recleans via
+// AcquireScratch/ReleaseScratch, so steady-state serving recleans
+// approach zero sampler allocations.
 type Scratch struct {
 	counts []float64   // flat arena backing all marginal counts
 	p      [][]float64 // per-variable views into counts
-	buf    []float64
-	order  []int32
 	query  []int32
-	pstate []uint64 // per-variable splitmix64 states (chromatic schedule)
+	state  []uint64    // per-variable splitmix64 states
+	bufs   [][]float64 // one score buffer per goroutine
 	m      factor.Marginals
-	src    rand.Source
-	rng    *rand.Rand
-	wk     []workerScratch
-}
-
-// workerScratch is one parallel worker's private buffer and RNG.
-type workerScratch struct {
-	buf []float64
-	src rand.Source
-	rng *rand.Rand
-}
-
-// seededRng returns *rng re-seeded to seed, creating source and RNG on
-// first use. Re-seeding an existing source produces exactly the stream
-// rand.New(rand.NewSource(seed)) would, without the two per-call
-// allocations.
-func seededRng(src *rand.Source, rng **rand.Rand, seed int64) *rand.Rand {
-	if *rng == nil {
-		*src = rand.NewSource(seed)
-		*rng = rand.New(*src)
-	} else {
-		(*src).Seed(seed)
-	}
-	return *rng
-}
-
-// seeded returns the worker's RNG re-seeded to seed.
-func (w *workerScratch) seeded(seed int64) *rand.Rand {
-	return seededRng(&w.src, &w.rng, seed)
-}
-
-// seeded returns the scratch's sequential-sweep RNG re-seeded to seed.
-func (s *Scratch) seeded(seed int64) *rand.Rand {
-	return seededRng(&s.src, &s.rng, seed)
 }
 
 // marginals resizes the count arena for g (one float64 per variable per
@@ -134,11 +93,7 @@ func (s *Scratch) marginals(g *factor.Graph) [][]float64 {
 	for i := range g.Vars {
 		total += len(g.Vars[i].Domain)
 	}
-	if cap(s.counts) >= total {
-		s.counts = s.counts[:total]
-	} else {
-		s.counts = make([]float64, total)
-	}
+	s.counts = growF(s.counts, total)
 	clear(s.counts)
 	if cap(s.p) >= len(g.Vars) {
 		s.p = s.p[:len(g.Vars)]
@@ -160,14 +115,6 @@ func growF(b []float64, n int) []float64 {
 		return b[:n]
 	}
 	return make([]float64, n)
-}
-
-// growI is growF for int32 slices.
-func growI(b []int32, n int) []int32 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]int32, n)
 }
 
 // growU64 is growF for uint64 slices.
@@ -198,19 +145,20 @@ func DefaultConfig() Config { return Config{BurnIn: 10, Samples: 50, Seed: 1} }
 // Run performs Gibbs sampling over the query variables of g and returns
 // estimated marginals. Evidence variables stay clamped at their observed
 // values and have point-mass marginals.
+//
+// Each query variable's stream is seeded by its identity and advanced
+// once for its initial state (when it has no observed value) and once
+// per sweep, so its draw sequence is a function of its seed and the
+// conditionals it sees. On an independent graph those conditionals never
+// change, so Run interchanges the loops and runs each variable's whole
+// chain at once (var-major): the same bits as sweeping, with one
+// LocalScores per variable instead of one per sweep.
 func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	g.Freeze()
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	if len(cfg.Colors) > 0 {
-		return runChromatic(g, cfg, sc)
-	}
-	if cfg.Parallel && !g.HasNaryOnQuery() {
-		return runParallel(g, cfg, sc)
-	}
-	rng := sc.seeded(cfg.Seed)
 	query := sc.query[:0]
 	maxDom := 1
 	for i := range g.Vars {
@@ -220,43 +168,70 @@ func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 			continue
 		}
 		query = append(query, int32(i))
-		if len(v.Domain) > maxDom {
-			maxDom = len(v.Domain)
-		}
-		// Start at the initial observed value when it survived pruning,
-		// otherwise at a random candidate.
-		if v.Obs >= 0 {
-			v.Assign = v.Obs
-		} else {
-			v.Assign = int32(rng.Intn(len(v.Domain)))
-		}
+		maxDom = max(maxDom, len(v.Domain))
 	}
 	sc.query = query
-	counts := sc.marginals(g)
-	buf := growF(sc.buf, maxDom)
-	sc.buf = buf
-	order := growI(sc.order, len(query))
-	sc.order = order
-	copy(order, query)
-
-	sweeps := cfg.BurnIn + cfg.Samples
-	for sweep := 0; sweep < sweeps; sweep++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, v := range order {
-			dom := len(g.Vars[v].Domain)
-			scores := buf[:dom]
-			g.LocalScores(v, scores)
-			g.Vars[v].Assign = int32(sampleSoftmax(rng, scores))
+	sc.state = growU64(sc.state, len(g.Vars))
+	s := sampler{g: g, state: sc.state, counts: sc.marginals(g), burnIn: cfg.BurnIn, samples: cfg.Samples}
+	// Seed every variable's stream, then draw initial assignments from
+	// the streams so initialization is as schedule-independent as the
+	// sweeps. Start at the observed value when it survived pruning.
+	for _, v := range query {
+		seed := cfg.Seed + int64(v)*1_000_003
+		if cfg.VarSeed != nil {
+			seed = cfg.VarSeed[v]
 		}
-		if sweep >= cfg.BurnIn {
-			for _, v := range query {
-				counts[v][g.Vars[v].Assign]++
+		s.state[v] = uint64(seed)
+		vr := &g.Vars[v]
+		if vr.Obs >= 0 {
+			vr.Assign = vr.Obs
+		} else {
+			vr.Assign = int32(splitIntn(&s.state[v], len(vr.Domain)))
+		}
+	}
+
+	independent := !g.HasNaryOnQuery()
+	workers := 1
+	switch {
+	case independent && cfg.Parallel:
+		workers = runtime.GOMAXPROCS(0)
+	case !independent && cfg.Colors != nil:
+		workers = cfg.IntraWorkers
+	}
+	workers = max(1, min(workers, len(query)))
+	if cap(sc.bufs) >= workers {
+		sc.bufs = sc.bufs[:workers]
+	} else {
+		sc.bufs = make([][]float64, workers)
+	}
+	for w := range sc.bufs {
+		sc.bufs[w] = growF(sc.bufs[w], maxDom)
+	}
+
+	switch {
+	case independent && workers > 1:
+		inParallel(query, sc.bufs, s.chains)
+	case independent:
+		s.chains(query, sc.bufs[0])
+	default:
+		classes := cfg.Colors
+		if classes == nil {
+			classes = [][]int32{query} // one class, swept by one goroutine
+		}
+		for sweep := 0; sweep < cfg.BurnIn+cfg.Samples; sweep++ {
+			collect := sweep >= cfg.BurnIn
+			for _, class := range classes {
+				if workers <= 1 || len(class) < 2*workers {
+					s.sweep(class, sc.bufs[0], collect)
+					continue
+				}
+				inParallel(class, sc.bufs, func(part []int32, buf []float64) { s.sweep(part, buf, collect) })
 			}
 		}
 	}
 
 	m := &sc.m
-	m.P = counts
+	m.P = s.counts
 	n := float64(cfg.Samples)
 	for _, v := range query {
 		for d := range m.P[v] {
@@ -271,13 +246,81 @@ func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	return m
 }
 
+// sampler is what the draw loops of one run share: the graph, the
+// per-variable streams, and the marginal-count rows. Count rows and
+// stream states of distinct variables never alias, so goroutines drawing
+// for disjoint variable sets are race-free.
+type sampler struct {
+	g               *factor.Graph
+	state           []uint64
+	counts          [][]float64
+	burnIn, samples int
+}
+
+// sweep draws each of vars once, in order, into the caller-owned score
+// buffer; collect accumulates the draws into the marginal counts.
+func (s sampler) sweep(vars []int32, buf []float64, collect bool) {
+	for _, v := range vars {
+		vr := &s.g.Vars[v]
+		scores := buf[:len(vr.Domain)]
+		s.g.LocalScores(v, scores)
+		d := sampleSoftmax(&s.state[v], scores)
+		vr.Assign = int32(d)
+		if collect {
+			s.counts[v][d]++
+		}
+	}
+}
+
+// chains runs the whole chain of each of vars (var-major): one
+// LocalScores, then burnIn+samples draws against the fixed conditional.
+// Only valid when no n-ary factor touches a query variable.
+func (s sampler) chains(vars []int32, buf []float64) {
+	for _, v := range vars {
+		vr := &s.g.Vars[v]
+		cum := buf[:len(vr.Domain)]
+		s.g.LocalScores(v, cum)
+		z := cumulate(cum)
+		d := int(vr.Assign)
+		for k := 0; k < s.burnIn+s.samples; k++ {
+			d = draw(&s.state[v], cum, z)
+			if k >= s.burnIn {
+				s.counts[v][d]++
+			}
+		}
+		vr.Assign = int32(d)
+	}
+}
+
+// inParallel splits vars into len(bufs) contiguous chunks and hands each
+// to fn on its own goroutine with its own score buffer. It lives outside
+// Run so the WaitGroup and goroutine closures never force heap
+// allocations onto the sequential path, which the zero-alloc
+// warmed-sweep guarantee covers.
+func inParallel(vars []int32, bufs [][]float64, fn func(part []int32, buf []float64)) {
+	var wg sync.WaitGroup
+	chunk := (len(vars) + len(bufs) - 1) / len(bufs)
+	for w, buf := range bufs {
+		lo := w * chunk
+		hi := min(lo+chunk, len(vars))
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(vars[lo:hi], buf)
+		}()
+	}
+	wg.Wait()
+}
+
 // splitmix64 advances a per-variable PRNG state and returns the next
 // 64-bit output (Steele, Lea & Flood's SplitMix64). Eight bytes of state
 // per variable is what makes per-variable streams affordable at 10⁶
-// variables — a math/rand source is ~5KB — and the stream depends only on
-// the variable's own seed and draw count, never on which goroutine
-// executes the draw, which is the whole determinism argument of the
-// chromatic schedule.
+// variables, and the stream depends only on the variable's own seed and
+// draw count, never on which goroutine executes the draw — the whole
+// determinism argument of the kernel.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -299,8 +342,17 @@ func splitIntn(state *uint64, n int) int {
 	return int(splitmix64(state) % uint64(n))
 }
 
-// sampleSoftmaxState is sampleSoftmax over a splitmix64 stream.
-func sampleSoftmaxState(state *uint64, scores []float64) int {
+// sampleSoftmax draws an index proportionally to exp(scores) from the
+// stream, overwriting scores with their cumulative weights.
+func sampleSoftmax(state *uint64, scores []float64) int {
+	return draw(state, scores, cumulate(scores))
+}
+
+// cumulate overwrites scores with the running sums of exp(score - max)
+// and returns the total. When every score is -Inf the softmax is
+// degenerate (-Inf - -Inf is NaN): scores are left as they are and the
+// total is 0, which draw reads as "uniform".
+func cumulate(scores []float64) float64 {
 	maxS := math.Inf(-1)
 	for _, s := range scores {
 		if s > maxS {
@@ -308,308 +360,29 @@ func sampleSoftmaxState(state *uint64, scores []float64) int {
 		}
 	}
 	if math.IsInf(maxS, -1) {
-		return splitIntn(state, len(scores))
+		return 0
 	}
-	var z float64
-	for _, s := range scores {
-		z += math.Exp(s - maxS)
-	}
-	u := splitFloat(state) * z
 	var acc float64
 	for i, s := range scores {
 		acc += math.Exp(s - maxS)
-		if u < acc {
+		scores[i] = acc
+	}
+	return acc
+}
+
+// draw picks an index from the cumulative weights cum with total z (as
+// returned by cumulate), or uniformly when z is 0.
+func draw(state *uint64, cum []float64, z float64) int {
+	if z == 0 {
+		return splitIntn(state, len(cum))
+	}
+	u := splitFloat(state) * z
+	for i, c := range cum {
+		if u < c {
 			return i
 		}
 	}
-	return len(scores) - 1
-}
-
-// runChromatic executes the color-scheduled sweeps of Config.Colors: every
-// sweep visits the classes in order and samples each class's variables —
-// sequentially when IntraWorkers <= 1, otherwise in contiguous chunks
-// across an IntraWorkers-goroutine pool. Correctness of the parallel class
-// sweep: variables in one class share no n-ary factor, so each LocalScores
-// call reads only assignments frozen since the previous class boundary.
-//
-// Determinism (Fast == false): each variable draws from a private
-// splitmix64 stream advanced exactly once per sweep, so the draw sequence
-// depends only on the variable's seed — results are bit-identical for any
-// IntraWorkers value. Fast mode replaces the per-variable streams with
-// per-worker RNGs and dynamic work stealing; it is statistically
-// equivalent but not reproducible.
-func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
-	query := sc.query[:0]
-	maxDom := 1
-	for i := range g.Vars {
-		v := &g.Vars[i]
-		if v.Evidence {
-			v.Assign = v.Obs
-			continue
-		}
-		query = append(query, int32(i))
-		if len(v.Domain) > maxDom {
-			maxDom = len(v.Domain)
-		}
-	}
-	sc.query = query
-	counts := sc.marginals(g)
-	// Seed every variable's stream by its identity, then draw initial
-	// assignments from the streams so initialization is as
-	// schedule-independent as the sweeps.
-	sc.pstate = growU64(sc.pstate, len(g.Vars))
-	for _, v := range query {
-		seed := cfg.Seed + int64(v)*1_000_003
-		if cfg.VarSeed != nil {
-			seed = cfg.VarSeed[v]
-		}
-		sc.pstate[v] = uint64(seed)
-		vr := &g.Vars[v]
-		if vr.Obs >= 0 {
-			vr.Assign = vr.Obs
-		} else {
-			vr.Assign = int32(splitIntn(&sc.pstate[v], len(vr.Domain)))
-		}
-	}
-
-	workers := cfg.IntraWorkers
-	if workers > len(query) {
-		workers = len(query)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cap(sc.wk) >= workers {
-		sc.wk = sc.wk[:workers]
-	} else {
-		sc.wk = make([]workerScratch, workers)
-	}
-	for w := range sc.wk {
-		sc.wk[w].buf = growF(sc.wk[w].buf, maxDom)
-	}
-	sc.buf = growF(sc.buf, maxDom)
-
-	if cfg.Fast {
-		runChromaticFast(g, cfg, sc, counts, workers)
-	} else {
-		sweeps := cfg.BurnIn + cfg.Samples
-		for sweep := 0; sweep < sweeps; sweep++ {
-			collect := sweep >= cfg.BurnIn
-			for _, class := range cfg.Colors {
-				if workers <= 1 || len(class) < 2*workers {
-					for _, v := range class {
-						chromaticSampleVar(g, sc.pstate, counts, v, sc.buf, collect)
-					}
-					continue
-				}
-				chromaticClassParallel(g, sc, counts, class, workers, collect)
-			}
-		}
-	}
-
-	m := &sc.m
-	m.P = counts
-	n := float64(cfg.Samples)
-	for _, v := range query {
-		for d := range m.P[v] {
-			m.P[v][d] /= n
-		}
-	}
-	for i := range g.Vars {
-		if g.Vars[i].Evidence {
-			m.P[i][g.Vars[i].Obs] = 1
-		}
-	}
-	return m
-}
-
-// chromaticClassParallel samples one color class in contiguous chunks
-// across workers goroutines. It lives outside runChromatic so the
-// WaitGroup and goroutine closures never force heap allocations onto the
-// sequential (IntraWorkers <= 1) path, which the zero-alloc warmed-sweep
-// guarantee covers.
-func chromaticClassParallel(g *factor.Graph, sc *Scratch, counts [][]float64, class []int32, workers int, collect bool) {
-	var wg sync.WaitGroup
-	chunk := (len(class) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(class))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(buf []float64, part []int32) {
-			defer wg.Done()
-			for _, v := range part {
-				chromaticSampleVar(g, sc.pstate, counts, v, buf, collect)
-			}
-		}(sc.wk[w].buf, class[lo:hi])
-	}
-	wg.Wait()
-}
-
-// chromaticSampleVar draws variable v's next state from its private
-// splitmix64 stream into the caller-owned score buffer; collect
-// accumulates the draw into the marginal counts. Count rows of distinct
-// variables never alias, so concurrent collection within a color class is
-// race-free. Top-level (not a closure) so the warmed sequential path stays
-// allocation-free.
-func chromaticSampleVar(g *factor.Graph, pstate []uint64, counts [][]float64, v int32, buf []float64, collect bool) {
-	vr := &g.Vars[v]
-	scores := buf[:len(vr.Domain)]
-	g.LocalScores(v, scores)
-	d := sampleSoftmaxState(&pstate[v], scores)
-	vr.Assign = int32(d)
-	if collect {
-		counts[v][d]++
-	}
-}
-
-// runChromaticFast is the documented statistically-equivalent-only mode:
-// per-worker RNGs (seeded from cfg.Seed and the worker index) and dynamic
-// batch claiming over each class. Worker count and scheduling change the
-// draw streams, so two runs agree only in distribution.
-func runChromaticFast(g *factor.Graph, cfg Config, sc *Scratch, counts [][]float64, workers int) {
-	const batch = 64
-	for w := 0; w < workers; w++ {
-		sc.wk[w].seeded(cfg.Seed + int64(w)*7919 + 1)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	sweeps := cfg.BurnIn + cfg.Samples
-	for sweep := 0; sweep < sweeps; sweep++ {
-		collect := sweep >= cfg.BurnIn
-		for _, class := range cfg.Colors {
-			if workers <= 1 || len(class) < 2*workers {
-				ws := &sc.wk[0]
-				for _, v := range class {
-					fastSampleVar(g, ws.rng, ws.buf, counts, v, collect)
-				}
-				continue
-			}
-			next.Store(0)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(ws *workerScratch) {
-					defer wg.Done()
-					for {
-						lo := int(next.Add(batch)) - batch
-						if lo >= len(class) {
-							return
-						}
-						for _, v := range class[lo:min(lo+batch, len(class))] {
-							fastSampleVar(g, ws.rng, ws.buf, counts, v, collect)
-						}
-					}
-				}(&sc.wk[w])
-			}
-			wg.Wait()
-		}
-	}
-}
-
-// fastSampleVar is sampleVar over a worker RNG instead of the variable's
-// private stream.
-func fastSampleVar(g *factor.Graph, rng *rand.Rand, buf []float64, counts [][]float64, v int32, collect bool) {
-	vr := &g.Vars[v]
-	scores := buf[:len(vr.Domain)]
-	g.LocalScores(v, scores)
-	d := sampleSoftmax(rng, scores)
-	vr.Assign = int32(d)
-	if collect {
-		counts[v][d]++
-	}
-}
-
-// runParallel runs per-variable chains concurrently. Only valid when no
-// n-ary factor touches a query variable: every conditional is then
-// independent of other query variables and each variable's chain can be
-// sampled in isolation. Each variable's chain is seeded individually (a
-// per-worker RNG is re-seeded per variable rather than freshly
-// allocated), so results are deterministic regardless of scheduling and
-// worker count.
-func runParallel(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
-	query := sc.query[:0]
-	maxDom := 1
-	for i := range g.Vars {
-		v := &g.Vars[i]
-		if v.Evidence {
-			v.Assign = v.Obs
-			continue
-		}
-		query = append(query, int32(i))
-		if len(v.Domain) > maxDom {
-			maxDom = len(v.Domain)
-		}
-	}
-	sc.query = query
-	counts := sc.marginals(g)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(query) {
-		workers = len(query)
-	}
-	if cap(sc.wk) >= workers {
-		sc.wk = sc.wk[:workers]
-	} else {
-		sc.wk = make([]workerScratch, workers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := &sc.wk[w]
-			// One score buffer per worker, sized once for the graph's
-			// largest domain (the old per-variable regrow churned
-			// allocations on every domain-size increase).
-			ws.buf = growF(ws.buf, maxDom)
-			for qi := w; qi < len(query); qi += workers {
-				v := query[qi]
-				vr := &g.Vars[v]
-				seed := cfg.Seed + int64(v)*1_000_003
-				if cfg.VarSeed != nil {
-					seed = cfg.VarSeed[v]
-				}
-				rng := ws.seeded(seed)
-				dom := len(vr.Domain)
-				scores := ws.buf[:dom]
-				// The conditional never changes (no query-side deps):
-				// compute once, then draw BurnIn+Samples times.
-				if vr.Obs >= 0 {
-					vr.Assign = vr.Obs
-				} else {
-					vr.Assign = int32(rng.Intn(dom))
-				}
-				g.LocalScores(v, scores)
-				for s := 0; s < cfg.BurnIn; s++ {
-					sampleSoftmax(rng, scores)
-				}
-				for s := 0; s < cfg.Samples; s++ {
-					counts[v][sampleSoftmax(rng, scores)]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	m := &sc.m
-	m.P = counts
-	n := float64(cfg.Samples)
-	for _, v := range query {
-		best := 0
-		for d := range m.P[v] {
-			m.P[v][d] /= n
-			if m.P[v][d] > m.P[v][best] {
-				best = d
-			}
-		}
-		g.Vars[v].Assign = int32(best)
-	}
-	for i := range g.Vars {
-		if g.Vars[i].Evidence {
-			m.P[i][g.Vars[i].Obs] = 1
-		}
-	}
-	return m
+	return len(cum) - 1
 }
 
 // Exact computes marginals in closed form for graphs whose query variables
@@ -638,34 +411,6 @@ func Exact(g *factor.Graph) *factor.Marginals {
 		softmaxInPlace(m.P[i])
 	}
 	return m
-}
-
-// sampleSoftmax draws an index proportionally to exp(scores). When every
-// score is -Inf the softmax is degenerate (-Inf - -Inf is NaN); the draw
-// falls back to uniform instead of propagating NaN weights.
-func sampleSoftmax(rng *rand.Rand, scores []float64) int {
-	maxS := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	if math.IsInf(maxS, -1) {
-		return rng.Intn(len(scores))
-	}
-	var z float64
-	for _, s := range scores {
-		z += math.Exp(s - maxS)
-	}
-	u := rng.Float64() * z
-	var acc float64
-	for i, s := range scores {
-		acc += math.Exp(s - maxS)
-		if u < acc {
-			return i
-		}
-	}
-	return len(scores) - 1
 }
 
 // softmaxInPlace turns scores into probabilities. An all--Inf input (no

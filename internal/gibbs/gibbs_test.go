@@ -151,21 +151,64 @@ func TestGibbsInitialAssignment(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential pins that Parallel and IntraWorkers
+// change wall-clock only: every combination yields bit-identical
+// marginals, and those marginals agree with the exact posterior within
+// Monte-Carlo error.
 func TestParallelMatchesSequential(t *testing.T) {
-	// Same independent graph: parallel and sequential sampling must agree
-	// with the exact posterior within Monte-Carlo error.
-	g1 := independentGraph()
-	g2 := independentGraph()
 	exact := Exact(independentGraph())
-	seq := Run(g1, Config{BurnIn: 50, Samples: 4000, Seed: 3})
-	par := Run(g2, Config{BurnIn: 50, Samples: 4000, Seed: 3, Parallel: true})
+	ref := Run(independentGraph(), Config{BurnIn: 50, Samples: 4000, Seed: 3})
 	for v := 0; v < 2; v++ {
-		for d := range g1.Vars[v].Domain {
-			if diff := math.Abs(par.Prob(int32(v), d) - exact.Prob(int32(v), d)); diff > 0.03 {
-				t.Errorf("parallel var %d val %d off exact by %v", v, d, diff)
+		for d := range exact.P[v] {
+			if diff := math.Abs(ref.Prob(int32(v), d) - exact.Prob(int32(v), d)); diff > 0.03 {
+				t.Errorf("var %d val %d off exact by %v", v, d, diff)
 			}
-			if diff := math.Abs(par.Prob(int32(v), d) - seq.Prob(int32(v), d)); diff > 0.05 {
-				t.Errorf("parallel and sequential disagree at var %d val %d by %v", v, d, diff)
+		}
+	}
+	for _, build := range []func() *factor.Graph{independentGraph, func() *factor.Graph { return benchGraph(300) }} {
+		base := Run(build(), Config{BurnIn: 5, Samples: 40, Seed: 3}).P
+		for _, parallel := range []bool{false, true} {
+			for _, intra := range []int{1, 4} {
+				got := Run(build(), Config{BurnIn: 5, Samples: 40, Seed: 3, Parallel: parallel, IntraWorkers: intra}).P
+				for v := range base {
+					for d := range base[v] {
+						if got[v][d] != base[v][d] {
+							t.Fatalf("Parallel=%v IntraWorkers=%d: marginal[%d][%d] = %v, want %v (bit-identical)",
+								parallel, intra, v, d, got[v][d], base[v][d])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVarMajorMatchesSweepMajor pins the loop interchange Run makes on
+// independent graphs: running each variable's whole chain at once draws
+// the same bits as sweeping all variables once per sweep, because every
+// stream is private and every conditional fixed.
+func TestVarMajorMatchesSweepMajor(t *testing.T) {
+	g := benchGraph(200)
+	cfg := Config{BurnIn: 4, Samples: 30, Seed: 11}
+	varMajor := Run(g, cfg).P
+
+	// Replay the same run sweep-major with the kernel's own primitives.
+	sc := new(Scratch)
+	s := sampler{g: g, state: make([]uint64, len(g.Vars)), counts: sc.marginals(g), burnIn: cfg.BurnIn, samples: cfg.Samples}
+	query := make([]int32, len(g.Vars))
+	for v := range query {
+		query[v] = int32(v)
+		s.state[v] = uint64(cfg.Seed + int64(v)*1_000_003)
+		g.Vars[v].Assign = g.Vars[v].Obs
+	}
+	buf := make([]float64, 4)
+	for sweep := 0; sweep < cfg.BurnIn+cfg.Samples; sweep++ {
+		s.sweep(query, buf, sweep >= cfg.BurnIn)
+	}
+	for v := range varMajor {
+		for d := range varMajor[v] {
+			if got := s.counts[v][d] / float64(cfg.Samples); got != varMajor[v][d] {
+				t.Fatalf("marginal[%d][%d]: sweep-major %v, var-major %v", v, d, got, varMajor[v][d])
 			}
 		}
 	}

@@ -139,49 +139,55 @@ func sessionFixture(groups int) (*Dataset, []*Constraint) {
 
 // TestSessionUpsertDeleteAppendEquivalence drives a session through
 // updates, appends, and deletes over several recleans, checking the
-// equivalence contract after every batch.
+// equivalence contract after every batch. It runs with ParallelInference
+// on and off: the independent regime re-batches dirty cells either way,
+// because a cell's marginal is a function of its identity whatever
+// ParallelInference says.
 func TestSessionUpsertDeleteAppendEquivalence(t *testing.T) {
-	ds, cs := sessionFixture(30)
-	opts := DefaultOptions()
-	opts.Workers = 2
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	weights := s.Weights()
+	for _, parallel := range []bool{true, false} {
+		ds, cs := sessionFixture(30)
+		opts := DefaultOptions()
+		opts.Workers = 2
+		opts.ParallelInference = parallel
+		s, err := NewSession(ds, cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Clean(); err != nil {
+			t.Fatal(err)
+		}
+		weights := s.Weights()
 
-	batches := []func(){
-		func() { // in-place update introducing a fresh conflict
-			s.Upsert(7, []string{"k001", "bad-new"})
-		},
-		func() { // append two tuples, one clean, one conflicted
-			s.Upsert(-1, []string{"k900", "v900"})
-			s.Upsert(-1, []string{"k002", "bad902"})
-		},
-		func() { // delete a conflicted tuple and repair another by hand
-			s.Delete(4) // the bad tuple of group 0
-			s.Upsert(9, []string{"k001", "v001"})
-		},
-	}
-	for bi, apply := range batches {
-		apply()
-		incr, err := s.Reclean()
-		if err != nil {
-			t.Fatal(err)
+		batches := []func(){
+			func() { // in-place update introducing a fresh conflict
+				s.Upsert(7, []string{"k001", "bad-new"})
+			},
+			func() { // append two tuples, one clean, one conflicted
+				s.Upsert(-1, []string{"k900", "v900"})
+				s.Upsert(-1, []string{"k002", "bad902"})
+			},
+			func() { // delete a conflicted tuple and repair another by hand
+				s.Delete(4) // the bad tuple of group 0
+				s.Upsert(9, []string{"k001", "v001"})
+			},
 		}
-		refOpts := opts
-		refOpts.InitialWeights = weights
-		ref, err := New(refOpts).Clean(s.Dataset(), cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdenticalResults(t, fmt.Sprintf("batch %d", bi), incr, ref)
-		if incr.Stats.Shards >= ref.Stats.Shards {
-			t.Errorf("batch %d: executed %d of %d planned shards, want fewer",
-				bi, incr.Stats.Shards, ref.Stats.Shards)
+		for bi, apply := range batches {
+			apply()
+			incr, err := s.Reclean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refOpts := opts
+			refOpts.InitialWeights = weights
+			ref, err := New(refOpts).Clean(s.Dataset(), cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalResults(t, fmt.Sprintf("parallel=%v batch %d", parallel, bi), incr, ref)
+			if incr.Stats.Shards >= ref.Stats.Shards {
+				t.Errorf("parallel=%v batch %d: executed %d of %d planned shards, want fewer",
+					parallel, bi, incr.Stats.Shards, ref.Stats.Shards)
+			}
 		}
 	}
 }
@@ -346,7 +352,7 @@ func TestParallelVarSeedsMixedEvidence(t *testing.T) {
 	if g.Stats.EvidenceVars == 0 || g.Stats.QueryVars == 0 {
 		t.Fatalf("fixture did not produce a mixed graph: %+v", g.Stats)
 	}
-	seeds := parallelVarSeeds(g, 1, ds.NumAttrs())
+	seeds := varSeeds(g, 1, ds.NumAttrs())
 	if len(seeds) != len(g.Graph.Vars) {
 		t.Fatalf("seed slice len %d, want one per variable %d", len(seeds), len(g.Graph.Vars))
 	}

@@ -144,15 +144,16 @@ func planShards(prep *compile.Prepared, coupled bool, maxComponentCells int) []s
 // delta, it returns the shards that must actually run plus the cell
 // indices whose cached results can be carried forward.
 //
-// When rebatch is true (the independent-variable regime with per-variable
-// chains or closed-form inference, where a cell's marginal does not
-// depend on which batch it lands in), the dirty cells are re-packed into
-// fresh tuple-aligned batches and every clean cell is reused — the
-// sharpest possible invalidation. Otherwise shards are reused wholesale,
-// and only when their composition matches a fingerprint of the previous
-// plan (prevSigs): sequential Gibbs sweeps and component grounding depend
-// on the shard's full membership, so a component that merged, split, or
-// re-batched must re-run even if its own tuples never changed.
+// When rebatch is true (the independent-variable regime, where a cell's
+// chain is seeded by its identity and sees a conditional fixed by the
+// evidence, so its marginal does not depend on which batch it lands
+// in), the dirty cells are re-packed into fresh tuple-aligned batches
+// and every clean cell is reused — the sharpest possible invalidation.
+// Otherwise shards are reused wholesale, and only when their composition
+// matches a fingerprint of the previous plan (prevSigs): correlated Gibbs
+// sweeps and component grounding depend on the shard's full membership,
+// so a component that merged, split, or re-batched must re-run even if
+// its own tuples never changed.
 func splitPlan(plan []shard, cells []dataset.Cell, dirty map[int]bool, rebatch bool, prevSigs map[string]bool) (exec []shard, reused []int) {
 	if rebatch {
 		var dirtyIdx []int
@@ -283,14 +284,14 @@ func resolveGibbs(o Options) (burnIn, samples int) {
 	return burnIn, samples
 }
 
-// parallelVarSeeds builds the per-variable chain seeds of a grounded
-// graph, indexed by graph variable id. Evidence variables (present on
-// graphs that ground dictionary-match or learning evidence) run no chain
-// and keep a zero entry; query variables are seeded by the identity of
-// the cell they repair. An earlier version indexed a query-rank array by
+// varSeeds builds the per-variable stream seeds of a grounded graph,
+// indexed by graph variable id. Evidence variables (present on graphs
+// that ground dictionary-match or learning evidence) run no chain and
+// keep a zero entry; query variables are seeded by the identity of the
+// cell they repair. An earlier version indexed a query-rank array by
 // variable id, which panicked or mis-seeded as soon as a graph held
 // evidence variables — the regression test grounds such a mixed graph.
-func parallelVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
+func varSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 	vs := make([]int64, len(g.Graph.Vars))
 	for vi := range g.Graph.Vars {
 		if g.Graph.Vars[vi].Evidence {
@@ -457,11 +458,10 @@ func (r *shardRunner) runOne(sh shard) error {
 	groundDur := time.Since(tg)
 
 	// Inference: singleton nary-free component shards take the
-	// closed-form fast path; independent-regime shards sample
-	// per-variable chains seeded by cell identity, so a cell's marginal
-	// never depends on which batch it lands in; correlated shards run
-	// sequential Gibbs seeded by the shard's first cell, stable across
-	// pools and deltas.
+	// closed-form fast path; every other shard runs the Gibbs kernel with
+	// each variable's stream seeded by its cell's identity, so a cell's
+	// draws never depend on which shard or batch it lands in, nor on the
+	// worker counts.
 	ti := time.Now()
 	numAttrs := prep.DS.NumAttrs()
 	hasNary := g.Graph.HasNaryOnQuery()
@@ -476,24 +476,17 @@ func (r *shardRunner) runOne(sh shard) error {
 		// them, so the scratch is released only after extraction below.
 		scratch = gibbs.AcquireScratch()
 		defer gibbs.ReleaseScratch(scratch)
-		cfg := gibbs.Config{BurnIn: burn, Samples: samp, Seed: o.Seed, Parallel: o.ParallelInference, Scratch: scratch}
-		if len(cells) > 0 {
-			cfg.Seed = o.Seed + (int64(cells[0].Tuple)*int64(numAttrs)+int64(cells[0].Attr)+1)*7919
+		cfg := gibbs.Config{
+			BurnIn: burn, Samples: samp,
+			Parallel: o.ParallelInference,
+			VarSeed:  varSeeds(g, o.Seed, numAttrs),
+			Scratch:  scratch,
 		}
-		if !hasNary && o.ParallelInference {
-			cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
-		}
-		// Large correlated shards switch to the chromatic schedule: color
-		// classes swept with IntraWorkers goroutines, bit-identical for any
-		// worker count. The threshold depends only on the grounded graph —
-		// never on worker counts — so the inference path of every variable
-		// is a pure function of the plan inputs, and small shards keep the
-		// legacy sequential schedule existing results are pinned to.
+		// Large correlated shards sweep color classes with IntraWorkers
+		// goroutines; smaller ones sweep their variables in index order.
 		if hasNary && g.Stats.QueryVars >= chromaticMinVars {
 			cfg.Colors = partition.ColorGraph(g.Graph)
 			cfg.IntraWorkers = defaultIntraWorkers(o.IntraWorkers)
-			cfg.Fast = o.FastSweeps
-			cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
 		}
 		m = gibbs.Run(g.Graph, cfg)
 	}
@@ -559,10 +552,12 @@ func defaultWorkers(w int) int {
 }
 
 // chromaticMinVars is the query-variable count at which a correlated
-// shard switches from the legacy sequential Gibbs schedule to the
-// chromatic one. It is a fixed constant — never derived from worker
-// counts or load — so which schedule a shard runs, and therefore its
-// exact draw sequence, depends only on the grounded graph.
+// shard is colored and swept class by class instead of variable by
+// variable. Coloring costs a pass over the graph and only pays for
+// itself when IntraWorkers can split a class. It is a fixed constant —
+// never derived from worker counts or load — so which schedule a shard
+// runs, and therefore its exact draw sequence, depends only on the
+// grounded graph.
 const chromaticMinVars = 512
 
 // defaultIntraWorkers resolves Options.IntraWorkers.
