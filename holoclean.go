@@ -185,10 +185,6 @@ type Options struct {
 	// back to the default 50 (zero samples would leave marginals
 	// undefined).
 	GibbsSamples int
-	// ExactInference replaces Gibbs with the closed-form posterior when
-	// the model has independent query variables (Section 5.2 regime).
-	// With correlation factors present it falls back to Gibbs.
-	ExactInference bool
 	// ParallelInference samples the chains of independent query
 	// variables across all CPUs (the DimmWitted [41] regime). It changes
 	// wall-clock only: results are byte-identical either way. It has no
@@ -234,19 +230,10 @@ type Options struct {
 	// largest grounding and sampling unit (and therefore per-shard memory
 	// and the pipeline's critical path) on skewed datasets where one
 	// giant component dominates. Cut correlations are partially restored
-	// by boundary-factor damping (BoundaryDamp). 0 — the default — never
-	// splits: every component is inferred whole and exactly.
+	// by damped boundary factors (see boundaryDamp in shard.go). 0 — the
+	// default — never splits: every component is inferred whole and
+	// exactly.
 	MaxComponentCells int
-	// BoundaryDamp is the weight coefficient of boundary factors on split
-	// sub-shards: a denial-constraint pair severed by a MaxComponentCells
-	// cut is grounded on each side with the other side folded to its
-	// observed value and the factor's weight scaled by BoundaryDamp — a
-	// cavity-style damped pull toward the neighbor's observation instead
-	// of Algorithm 3's hard cut. Both sub-shards ground their half, so
-	// the default 0.5 restores about one factor's worth of energy per cut
-	// pair. 0 disables damping (pure scope cut). Irrelevant unless
-	// MaxComponentCells splits something.
-	BoundaryDamp float64
 	// Seed drives every stochastic component.
 	Seed int64
 	// Tracer, when non-nil, receives per-stage durations (detect,
@@ -275,7 +262,6 @@ func DefaultOptions() Options {
 		GibbsBurnIn:       10,
 		GibbsSamples:      50,
 		ParallelInference: true,
-		BoundaryDamp:      0.5,
 		Seed:              1,
 	}
 }

@@ -44,7 +44,7 @@ func clusterConfig(dir string, workers int, self string, peers []string) Config 
 	cfg.Peers = append([]string(nil), peers...)
 	cfg.ShipInterval = 10 * time.Millisecond
 	cfg.ShipWaitMS = 100
-	cfg.IdleTimeout, cfg.SweepEvery = time.Hour, time.Hour
+	cfg.IdleTimeout = time.Hour
 	return cfg
 }
 

@@ -9,13 +9,13 @@
 // Concurrency contract. A holoclean.Session is not goroutine-safe, so
 // each session is guarded by its own mutex and all work on it is
 // serialized; distinct sessions clean in parallel. Heavy pipeline work
-// (initial clean, reclean, feedback, snapshot restore) additionally runs
+// (initial clean, reclean, feedback, restore) additionally runs
 // through a bounded global job queue: at most MaxConcurrentJobs jobs
 // execute at once and at most QueueDepth more may wait, so N tenants
 // share the machine fairly; past that the server answers 429 with a
-// Retry-After estimate instead of queueing unboundedly. Idle sessions
-// are evicted to deterministic snapshots and restored transparently on
-// next use.
+// Retry-After estimate instead of queueing unboundedly. Sessions idle
+// past IdleTimeout are evicted to their checkpoint record and restored
+// transparently on next use.
 //
 // Endpoints:
 //
@@ -23,7 +23,7 @@
 //	POST   /sessions                      create (JSON or multipart: data, dcs)
 //	GET    /sessions                      list
 //	GET    /sessions/{id}                 status + last run stats
-//	DELETE /sessions/{id}                 drop session (and snapshot)
+//	DELETE /sessions/{id}                 drop session (and its log)
 //	GET    /sessions/{id}/repairs         paginated repairs, (tuple, attr) order
 //	GET    /sessions/{id}/dataset         repaired relation as CSV
 //	POST   /sessions/{id}/deltas          upsert/delete batch → one Reclean
@@ -79,16 +79,11 @@ type Config struct {
 	// all — every job beyond MaxConcurrentJobs is refused immediately
 	// (cmd/holocleand defaults its flag to 8).
 	QueueDepth int
-	// IdleTimeout evicts sessions untouched for this long to snapshots
-	// (0 disables eviction).
+	// IdleTimeout evicts sessions untouched for this long to their
+	// checkpoint record (0 disables eviction); the janitor sweeps every
+	// IdleTimeout/2. With StoreDir the record is appended to the
+	// session's log, otherwise it is kept in memory.
 	IdleTimeout time.Duration
-	// SweepEvery is the janitor period (default IdleTimeout/2).
-	SweepEvery time.Duration
-	// SnapshotDir persists eviction snapshots on disk (and reloads them
-	// on startup); empty keeps snapshots in memory. Superseded by
-	// StoreDir, which covers eviction durability and crash recovery;
-	// when both are set the store wins and SnapshotDir is ignored.
-	SnapshotDir string
 	// StoreDir enables the durable session store: one append-only
 	// write-ahead log per session under this directory, fsync'd (group
 	// commit) before any mutating request is acknowledged, with
@@ -163,9 +158,9 @@ type Server struct {
 }
 
 // New builds a Server from cfg, recovers the durable store (when
-// StoreDir is set; otherwise loads any on-disk snapshots), and starts
-// the eviction janitor and log compactor. Call Close to stop the
-// background goroutines, or Shutdown for a graceful drain.
+// StoreDir is set), and starts the eviction janitor and log compactor.
+// Call Close to stop the background goroutines, or Shutdown for a
+// graceful drain.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrentJobs <= 0 {
 		cfg.MaxConcurrentJobs = 2
@@ -222,8 +217,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		sv.loadStore()
 		go sv.compactor(sv.stop)
-	} else if cfg.SnapshotDir != "" {
-		sv.loadSnapshots()
 	}
 	if sv.ring != nil {
 		sv.startShippers()

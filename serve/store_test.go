@@ -395,73 +395,105 @@ func TestServeIdempotentRetry(t *testing.T) {
 }
 
 // TestServeRemoveSurfacesError is the regression test for the silent
-// os.Remove in tenant removal: when the on-disk state cannot be
-// deleted, DELETE must fail (500) and keep the session registered —
-// in both snapshot mode and store (WAL) mode — and succeed once the
-// obstacle is gone.
+// os.Remove in tenant removal: when the session's log cannot be
+// deleted, DELETE must fail (500) and keep the session registered, and
+// succeed once the obstacle is gone.
 func TestServeRemoveSurfacesError(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  func(dir string) Config
-		path func(dir, id string) string
-	}{
-		{
-			name: "snapshot",
-			cfg: func(dir string) Config {
-				return Config{Workers: 1, SnapshotDir: dir, IdleTimeout: time.Hour, SweepEvery: time.Hour}
-			},
-			path: func(dir, id string) string { return filepath.Join(dir, id+".snapshot.json") },
-		},
-		{
-			name: "wal",
-			cfg: func(dir string) Config {
-				c := storeConfig(dir, 1)
-				c.IdleTimeout, c.SweepEvery = time.Hour, time.Hour
-				return c
-			},
-			path: func(dir, id string) string { return filepath.Join(dir, id+".wal") },
-		},
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := storeConfig(dir, 1)
+		cfg.IdleTimeout = time.Hour
+		sv, tc := newTestServer(t, cfg)
+		info := tc.create("doomed", fixtureCSV("rm", 6), 1, 0)
+		// Evict so the tenant holds no live session.
+		if n := sv.evictIdle(time.Now().Add(time.Minute)); n != 1 {
+			t.Fatalf("evicted %d, want 1", n)
+		}
+		// Make the file undeletable: replace it with a non-empty
+		// directory (robust even when tests run as root, unlike
+		// permission bits).
+		p := filepath.Join(dir, info.ID+".wal")
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(p, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil)
+		if status != http.StatusInternalServerError {
+			t.Fatalf("DELETE with undeletable file: status %d: %s", status, raw)
+		}
+		// The tenant must still exist: reporting it gone while its
+		// durable state survives would resurrect it after a restart.
+		if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusOK {
+			t.Fatalf("session vanished despite failed delete: status %d", status)
+		}
+		// Clear the obstacle; the retry completes the removal.
+		if err := os.RemoveAll(p); err != nil {
+			t.Fatal(err)
+		}
+		if status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil); status != http.StatusNoContent {
+			t.Fatalf("retry DELETE: status %d: %s", status, raw)
+		}
+		if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusNotFound {
+			t.Fatalf("session survived successful delete: status %d", status)
+		}
+	})
+}
+
+// TestServeStoreRestartAfterEviction: an evicted session survives a
+// restart over the same store directory. The fresh server lists it as
+// evicted with the checkpoint's name and summary before any restore,
+// the first read restores byte-identical repairs, a new session never
+// reuses a recovered id, and stray non-.wal files are ignored at boot.
+func TestServeStoreRestartAfterEviction(t *testing.T) {
+	dir := t.TempDir()
+	cfg := storeConfig(dir, 1)
+	cfg.IdleTimeout = time.Hour
+	sv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cse := range cases {
-		t.Run(cse.name, func(t *testing.T) {
-			dir := t.TempDir()
-			sv, tc := newTestServer(t, cse.cfg(dir))
-			info := tc.create("doomed", fixtureCSV("rm", 6), 1, 0)
-			// Evict so the on-disk artifact exists and the tenant holds
-			// no live session.
-			if n := sv.evictIdle(time.Now().Add(time.Minute)); n != 1 {
-				t.Fatalf("evicted %d, want 1", n)
-			}
-			// Make the file undeletable: replace it with a non-empty
-			// directory (robust even when tests run as root, unlike
-			// permission bits).
-			p := cse.path(dir, info.ID)
-			if err := os.Remove(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(filepath.Join(p, "x"), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil)
-			if status != http.StatusInternalServerError {
-				t.Fatalf("DELETE with undeletable file: status %d: %s", status, raw)
-			}
-			// The tenant must still exist: reporting it gone while its
-			// durable state survives would resurrect it after a restart.
-			if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusOK {
-				t.Fatalf("session vanished despite failed delete: status %d", status)
-			}
-			// Clear the obstacle; the retry completes the removal.
-			if err := os.RemoveAll(p); err != nil {
-				t.Fatal(err)
-			}
-			if status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil); status != http.StatusNoContent {
-				t.Fatalf("retry DELETE: status %d: %s", status, raw)
-			}
-			if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusNotFound {
-				t.Fatalf("session survived successful delete: status %d", status)
-			}
-		})
+	ts1 := httptest.NewServer(sv1)
+	tc1 := &testClient{t: t, base: ts1.URL, c: ts1.Client()}
+	info := tc1.create("durable", fixtureCSV("du", 6), 5, 0)
+	before := tc1.allRepairs(info.ID)
+	if n := sv1.evictIdle(time.Now().Add(time.Minute)); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
+	}
+	ts1.Close()
+	sv1.Close()
+
+	// Stray files, including a leftover eviction-snapshot file, must not
+	// crash or confuse the boot scan.
+	for _, name := range []string{"a.json", info.ID + ".snapshot.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, tc2 := newTestServer(t, storeConfig(dir, 1))
+	var listed []SessionInfo
+	tc2.mustJSON("GET", "/sessions", nil, &listed)
+	if len(listed) != 1 || listed[0].ID != info.ID || !listed[0].Evicted {
+		t.Fatalf("restarted listing: %+v", listed)
+	}
+	// The listing must stay truthful without restoring: name and summary
+	// come from the checkpoint envelope.
+	if listed[0].Name != "durable" || listed[0].Tuples != 30 || listed[0].Repairs != len(before) {
+		t.Fatalf("restarted listing lost metadata: %+v", listed[0])
+	}
+	after := tc2.allRepairs(info.ID)
+	if len(after) != len(before) {
+		t.Fatalf("restart restored %d repairs, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("restart repair %d differs: %+v vs %+v", i, after[i], before[i])
+		}
+	}
+	fresh := tc2.create("younger", fixtureCSV("du2", 4), 1, 0)
+	if fresh.ID == info.ID {
+		t.Fatalf("fresh session reused id %s", fresh.ID)
 	}
 }
 
@@ -472,7 +504,7 @@ func TestServeRemoveSurfacesError(t *testing.T) {
 func TestServeStoreStatsAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := storeConfig(dir, 1)
-	cfg.IdleTimeout, cfg.SweepEvery = time.Hour, time.Hour
+	cfg.IdleTimeout = time.Hour
 	sv, tc := newTestServer(t, cfg)
 	info := tc.create("gauged", fixtureCSV("st", 8), 3, 0)
 	if info.Store == nil || info.Store.WALBytes == 0 {

@@ -67,10 +67,12 @@ type walRelearn struct {
 	Round int `json:"round"`
 }
 
-// walCheckpoint is the OpCheckpoint payload: the same eviction envelope
-// the snapshot path uses, plus the applied-op-id window (so duplicate
-// detection survives compaction) and the wall-clock stamp operators see
-// as last_checkpoint_at.
+// walCheckpoint is the OpCheckpoint payload and the only serialized
+// session state the server keeps: the session envelope, plus the
+// applied-op-id window (so duplicate detection survives compaction and
+// eviction) and the wall-clock stamp operators see as
+// last_checkpoint_at. Without a store, eviction keeps the same record
+// in memory.
 type walCheckpoint struct {
 	At         time.Time       `json:"at"`
 	AppliedOps []string        `json:"applied_ops,omitempty"`
@@ -125,10 +127,9 @@ func (t *tenant) storeStats() *SessionStoreInfo {
 	return out
 }
 
-// buildEnvelope serializes t's live session into the eviction/checkpoint
-// envelope. Call with t.mu held and the session quiescent (no pending
-// mutations).
-func (sv *Server) buildEnvelope(t *tenant) (*serverSnapshot, error) {
+// buildCheckpoint serializes t's live session into a checkpoint record.
+// Call with t.mu held and the session quiescent (no pending mutations).
+func (sv *Server) buildCheckpoint(t *tenant) (*walCheckpoint, error) {
 	if t.session == nil {
 		return nil, fmt.Errorf("serve: session %s is not live", t.id)
 	}
@@ -142,15 +143,19 @@ func (sv *Server) buildEnvelope(t *tenant) (*serverSnapshot, error) {
 	t.resMu.RLock()
 	sum := t.sum
 	t.resMu.RUnlock()
-	return &serverSnapshot{
-		Name:      t.name,
-		Overrides: t.ov,
-		Tuples:    sum.tuples,
-		Attrs:     sum.attrs,
-		Repairs:   sum.repairs,
-		Recleans:  sum.recleans,
-		Confirmed: sum.confirmed,
-		Session:   json.RawMessage(bytes.TrimSpace(sessBuf.Bytes())),
+	return &walCheckpoint{
+		At:         time.Now().UTC(),
+		AppliedOps: append([]string(nil), t.appliedOrder...),
+		Envelope: &serverSnapshot{
+			Name:      t.name,
+			Overrides: t.ov,
+			Tuples:    sum.tuples,
+			Attrs:     sum.attrs,
+			Repairs:   sum.repairs,
+			Recleans:  sum.recleans,
+			Confirmed: sum.confirmed,
+			Session:   json.RawMessage(bytes.TrimSpace(sessBuf.Bytes())),
+		},
 	}, nil
 }
 
@@ -159,15 +164,11 @@ func (sv *Server) buildEnvelope(t *tenant) (*serverSnapshot, error) {
 func (sv *Server) checkpointLocked(t *tenant) error {
 	sp := sv.tel.span("checkpoint")
 	defer sp.End()
-	env, err := sv.buildEnvelope(t)
+	ck, err := sv.buildCheckpoint(t)
 	if err != nil {
 		return err
 	}
-	return t.log.Append(store.OpCheckpoint, &walCheckpoint{
-		At:         time.Now().UTC(),
-		AppliedOps: append([]string(nil), t.appliedOrder...),
-		Envelope:   env,
-	})
+	return t.log.Append(store.OpCheckpoint, ck)
 }
 
 // maybeCheckpoint appends a checkpoint when the tail has outgrown the
@@ -219,8 +220,8 @@ func (sv *Server) appendOp(t *tenant, op store.Op, payload any, relearned bool) 
 
 // loadStore opens the store directory, recovers every tenant log —
 // latest checkpoint plus tail replay — and registers the sessions.
-// Tenants whose log ends exactly at a checkpoint register evicted (the
-// checkpoint is the snapshot; first touch restores it), tenants with
+// Tenants whose log ends exactly at a checkpoint register evicted (first
+// touch restores the checkpoint), tenants with
 // tail operations are replayed to their exact pre-crash state now, and
 // tombstoned logs complete their deletion.
 func (sv *Server) loadStore() {
@@ -288,9 +289,8 @@ func (sv *Server) recoverTenant(id string) (*tenant, error) {
 	replica := sv.ring != nil && sv.ring.Owner(id) != sv.cfg.Self
 	t.replica.Store(replica)
 	if len(rec.Tail) == 0 {
-		// Clean checkpoint at the end: stay evicted, like a snapshot —
-		// the envelope header keeps the listing truthful without paying
-		// a restore.
+		// Clean checkpoint at the end: stay evicted — the envelope
+		// header keeps the listing truthful without paying a restore.
 		var ck walCheckpoint
 		if err := json.Unmarshal(rec.Checkpoint, &ck); err != nil || ck.Envelope == nil {
 			return nil, fmt.Errorf("decoding checkpoint of %s: %v", id, err)
@@ -349,6 +349,9 @@ func (sv *Server) primeFromEnvelope(t *tenant, ck walCheckpoint) {
 func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 	tail := rec.Tail
 	var res *holoclean.Result
+	if rec.Checkpoint == nil && len(tail) == 0 {
+		return fmt.Errorf("session %s has neither live state nor a checkpoint", t.id)
+	}
 	if rec.Checkpoint != nil {
 		var ck walCheckpoint
 		if err := json.Unmarshal(rec.Checkpoint, &ck); err != nil || ck.Envelope == nil {

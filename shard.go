@@ -74,6 +74,15 @@ func (sh shard) fingerprint(cells []dataset.Cell) string {
 // fast-path decision, is identical for every Options.Workers value.
 const cellBatch = 256
 
+// boundaryDamp is the weight coefficient of boundary factors on split
+// sub-shards: a denial-constraint pair severed by a MaxComponentCells cut
+// is grounded on each side with the other side folded to its observed
+// value and the factor's weight scaled by boundaryDamp — a cavity-style
+// damped pull toward the neighbor's observation instead of Algorithm 3's
+// hard cut. Both sub-shards ground their half, so 0.5 restores about one
+// factor's worth of energy per cut pair.
+const boundaryDamp = 0.5
+
 // planShards assigns every noisy cell to a shard. coupled says whether
 // the program grounds correlation factors (DC Factors variants), in which
 // case violation components bound the shards; otherwise cells are batched
@@ -426,12 +435,12 @@ func (r *shardRunner) runOne(sh shard) error {
 	db.Shared = r.shared
 	db.Interner = r.interner
 	db.Scope = &ddlog.Scope{InShard: inShard, QueryAttrs: r.queryAttrs}
-	if sh.split && o.BoundaryDamp > 0 {
+	if sh.split {
 		// Only split sub-shards damp their boundary: ordinary component
 		// shards have no severed correlations (their cut is exact up to
 		// Algorithm 3's hypothetical-pair approximation), and batch shards
 		// hold independent variables.
-		db.Scope.Boundary = o.BoundaryDamp
+		db.Scope.Boundary = boundaryDamp
 	}
 
 	// Grounding scratch comes from the process-wide arena pool, so the
@@ -468,7 +477,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	singleton := g.Stats.QueryVars == 1
 	var m *factor.Marginals
 	var scratch *gibbs.Scratch
-	if !hasNary && (o.ExactInference || (singleton && sh.component)) {
+	if !hasNary && singleton && sh.component {
 		m = gibbs.Exact(g.Graph)
 	} else {
 		burn, samp := resolveGibbs(o)
