@@ -45,9 +45,6 @@ import (
 	"holoclean/internal/factor"
 	"holoclean/internal/learn"
 	"holoclean/internal/partition"
-	"holoclean/internal/stats"
-	"holoclean/internal/telemetry"
-	"holoclean/internal/violation"
 )
 
 // Dataset is a relational instance to be cleaned. See NewDataset, LoadCSV
@@ -236,13 +233,6 @@ type Options struct {
 	MaxComponentCells int
 	// Seed drives every stochastic component.
 	Seed int64
-	// Tracer, when non-nil, receives per-stage durations (detect,
-	// ground, learn, infer, total) from every pipeline run; the serve
-	// tier points it at the /metrics histograms. A nil tracer is free:
-	// span calls are allocation-free no-ops, so the zero-alloc
-	// warmed-sweep guarantee is unaffected. Tracing never influences
-	// the computation — results stay byte-identical per seed.
-	Tracer *telemetry.Tracer
 }
 
 // DefaultOptions mirrors the paper's defaults: τ=0.5, the DC Feats
@@ -287,9 +277,13 @@ type Repair struct {
 //
 // Factor and variable counts describe the union of the per-shard models
 // plus the shared learning graph, which for independent-variable models
-// coincides with the monolithic grounding. CompileTime and InferTime sum
-// per-shard grounding and inference durations, so with Workers > 1 they
-// are CPU-style totals that can exceed the wall-clock TotalTime.
+// coincides with the monolithic grounding.
+//
+// The durations are the run's only stage clock: the serve tier's
+// /metrics stage histogram is recorded from them. DetectTime, StatsTime,
+// CompileTime and LearnTime are wall-clock and sum to at most TotalTime.
+// GroundTime and InferTime sum per-shard durations over the worker pool,
+// so with Workers > 1 they can exceed TotalTime.
 type RunStats struct {
 	NoisyCells   int
 	Variables    int
@@ -343,11 +337,23 @@ type RunStats struct {
 	// like the counters above.
 	PeakHeapBytes uint64
 
-	DetectTime  time.Duration
+	// DetectTime is error detection (scoped to the delta on a reclean).
+	DetectTime time.Duration
+	// StatsTime is Session.Reclean's delta-statistics reapplication;
+	// zero on full runs, which collect statistics inside compilation.
+	StatsTime time.Duration
+	// CompileTime covers statistics, domain pruning, matching, rule
+	// generation, the shared join index and the learning graph.
 	CompileTime time.Duration
-	LearnTime   time.Duration
-	InferTime   time.Duration
-	TotalTime   time.Duration
+	// LearnTime is SGD weight learning; zero when weights are reused.
+	LearnTime time.Duration
+	// GroundTime and InferTime are per-shard grounding and Gibbs
+	// inference, summed over workers.
+	GroundTime time.Duration
+	InferTime  time.Duration
+	// TotalTime is the run's wall clock, a reclean's delta pre-work
+	// included.
+	TotalTime time.Duration
 }
 
 // memProbe tracks the RunStats memory counters across one run using the
@@ -438,30 +444,31 @@ type Cleaner struct {
 func New(opts Options) *Cleaner { return &Cleaner{opts: opts} }
 
 // incrementalInputs carries the precomputed state Session.Reclean threads
-// into the pipeline: scoped detection results, delta-maintained
-// statistics, reusable weights, a rebound shared index, and the dirty
-// tuple set together with the previous run's caches.
+// into the pipeline: its compilation over scoped detection and
+// delta-maintained statistics, reusable weights, a rebound shared index,
+// the dirty tuple set together with the previous run's caches, and the
+// clocks of its pre-work.
 type incrementalInputs struct {
-	// prep, when non-nil, is the compilation state the session already
-	// prepared (it needs the refreshed domains to compute the dirty set
-	// before the pipeline runs); clean skips its own Prepare call.
-	prep       *compile.Prepared
-	detection  *errordetect.Result
-	hypergraph *violation.Hypergraph
-	st         *stats.Stats
-	masked     *stats.Stats
+	// prep is the compilation state the session already prepared (it
+	// needs the refreshed domains to compute the dirty set before the
+	// pipeline runs).
+	prep *compile.Prepared
 	// weights, when non-nil, are broadcast instead of learned.
 	weights map[string]float64
-	shared  *ddlog.SharedIndex
-	// interner, when non-nil, carries the session's canonical tying-key
-	// store across recleans so repeat groundings allocate no key strings.
+	// shared is the session's shared index, rebound across the delta.
+	shared *ddlog.SharedIndex
+	// interner carries the session's canonical tying-key store across
+	// recleans so repeat groundings allocate no key strings.
 	interner *factor.KeyInterner
 	// dirty is the invalidated tuple set; nil executes every shard.
 	dirty    map[int]bool
 	prevSigs map[string]bool
 	outcomes map[Cell]cellOutcome
-	// detectTime is the scoped-detection wall clock spent by the caller.
+	// start is when the caller began the run; detectTime and statsTime
+	// are its scoped-detection and delta-statistics wall clocks.
+	start      time.Time
 	detectTime time.Duration
+	statsTime  time.Duration
 }
 
 // cleanArtifacts exposes the pipeline state a Session caches for its next
@@ -550,6 +557,9 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 		return nil, nil, fmt.Errorf("holoclean: no repair signals (need constraints or match dependencies)")
 	}
 	start := time.Now()
+	if inc != nil {
+		start = inc.start // the session's delta pre-work counts too
+	}
 	mem := beginMemProbe()
 	o := cl.opts
 
@@ -557,37 +567,22 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	// recleans): every graph grounded below — the learning graph and all
 	// shards — shares it, so a distinct key's string is allocated once.
 	// Compilation's precomputed feature-name tables draw from it too.
-	interner := factor.NewKeyInterner()
-	if inc != nil && inc.interner != nil {
-		interner = inc.interner
-	}
-
-	copts := cl.compileOptions()
-	copts.Interner = interner
-	if inc != nil {
-		copts.Detection = inc.detection
-		copts.Hypergraph = inc.hypergraph
-		copts.Stats = inc.st
-		copts.MaskedStats = inc.masked
-		if inc.weights != nil {
-			copts.SkipEvidence = true
-		}
-	} else {
+	var interner *factor.KeyInterner
+	var prep *compile.Prepared
+	if inc == nil {
 		detectors, err := cl.detectors(ds, constraints, nil)
 		if err != nil {
 			return nil, nil, err
 		}
+		interner = factor.NewKeyInterner()
+		copts := cl.compileOptions()
+		copts.Interner = interner
 		copts.Detectors = detectors
-	}
-	var prep *compile.Prepared
-	if inc != nil && inc.prep != nil {
-		prep = inc.prep
-	} else {
-		var err error
-		prep, err = compile.Prepare(ds, constraints, copts)
-		if err != nil {
+		if prep, err = compile.Prepare(ds, constraints, copts); err != nil {
 			return nil, nil, err
 		}
+	} else {
+		prep, interner = inc.prep, inc.interner
 	}
 
 	res := &Result{Marginals: make(map[Cell][]ValueProb)}
@@ -595,6 +590,7 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	res.Stats.DetectTime = prep.Timings.Detect
 	if inc != nil {
 		res.Stats.DetectTime += inc.detectTime
+		res.Stats.StatsTime = inc.statsTime
 	}
 
 	workers := defaultWorkers(o.Workers)
@@ -626,9 +622,11 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	// Shared-index construction is part of compilation (it replaces the
 	// per-shard index builds), so the compile clock starts before it.
 	tg := time.Now()
-	shared := ddlog.NewSharedIndex(prep.DS, prep.Domains)
-	if inc != nil && inc.shared != nil {
-		shared = inc.shared // rebound across the delta by the session
+	var shared *ddlog.SharedIndex
+	if inc == nil {
+		shared = ddlog.NewSharedIndex(prep.DS, prep.Domains)
+	} else {
+		shared = inc.shared
 	}
 
 	injected := o.InitialWeights
@@ -675,9 +673,7 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 		if lr == 0 {
 			lr = 0.1
 		}
-		spLearn := o.Tracer.Start("learn")
 		learn.Learn(learnG.Graph, learn.Config{Epochs: epochs, LearningRate: lr, L2: o.L2, Seed: o.Seed})
-		spLearn.End()
 		res.Stats.LearnTime = time.Since(tLearn)
 		learned = learnedWeights(learnG.Graph)
 		learnKeys = learnG.Graph.Weights.Keys
@@ -728,7 +724,7 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	if err := runner.runAll(execPlan, workers); err != nil {
 		return nil, nil, err
 	}
-	res.Stats.CompileTime += runner.groundTime
+	res.Stats.GroundTime = runner.groundTime
 	res.Stats.InferTime = runner.inferTime
 	res.Stats.Weights = len(runner.weightKeys)
 	res.LearnedWeights = make(map[string]float64, len(learned))
@@ -745,11 +741,5 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	res.Repaired = repaired
 	mem.finish(&res.Stats)
 	res.Stats.TotalTime = time.Since(start)
-	if tr := o.Tracer; tr != nil {
-		tr.Observe("detect", res.Stats.DetectTime)
-		tr.Observe("ground", runner.groundTime)
-		tr.Observe("infer", runner.inferTime)
-		tr.Observe("total", res.Stats.TotalTime)
-	}
 	return res, &cleanArtifacts{prep: prep, shared: shared, interner: interner, runner: runner, plan: plan}, nil
 }

@@ -148,10 +148,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// Timings records the phase durations reported in Table 4 and Figure 4.
+// Timings splits one Prepare call into error detection and the rest of
+// compilation (statistics, pruning, matching, evidence sampling, rule
+// generation).
 type Timings struct {
 	Detect  time.Duration
-	Compile time.Duration // statistics + pruning + matching + grounding
+	Compile time.Duration
 }
 
 // Compiled is the output of compilation: a grounded probabilistic model
@@ -166,7 +168,6 @@ type Compiled struct {
 	Groups    []partition.Group
 	Program   *ddlog.Program
 	Grounded  *ddlog.Grounded
-	Timings   Timings
 }
 
 // Prepared is the compilation state just before grounding: every
@@ -205,7 +206,6 @@ func Compile(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	t := time.Now()
 	grounded, err := ddlog.Ground(p.DB, p.Program, ddlog.Config{MaxScanCounterparts: opts.MaxScanCounterparts})
 	if err != nil {
 		return nil, err
@@ -220,10 +220,6 @@ func Compile(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		Groups:    p.Groups,
 		Program:   p.Program,
 		Grounded:  grounded,
-		Timings: Timings{
-			Detect:  p.Timings.Detect,
-			Compile: p.Timings.Compile + time.Since(t),
-		},
 	}, nil
 }
 

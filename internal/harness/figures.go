@@ -68,7 +68,7 @@ func Figure4(cfg Config) []Figure4Point {
 			res, r := RunHoloCleanResult(g, opts)
 			p := Figure4Point{Dataset: g.Name, Tau: tau}
 			if r.Err == nil {
-				p.Compile = res.Stats.DetectTime + res.Stats.CompileTime
+				p.Compile = res.Stats.DetectTime + res.Stats.CompileTime + res.Stats.GroundTime
 				p.Repair = res.Stats.LearnTime + res.Stats.InferTime
 			}
 			out = append(out, p)
@@ -119,7 +119,7 @@ func Figure5(cfg Config) []Figure5Point {
 			p := Figure5Point{Variant: v.Name(), Tau: tau}
 			if r.Err == nil {
 				p.Runtime = r.Runtime
-				p.Compile = res.Stats.DetectTime + res.Stats.CompileTime
+				p.Compile = res.Stats.DetectTime + res.Stats.CompileTime + res.Stats.GroundTime
 				p.Repair = res.Stats.LearnTime + res.Stats.InferTime
 				p.Precision = r.Eval.Precision
 				p.Recall = r.Eval.Recall

@@ -93,20 +93,8 @@ func HoloCleanOptions(name string) holoclean.Options {
 
 // RunHoloClean executes the full pipeline and evaluates against truth.
 func RunHoloClean(g *datagen.Generated, opts holoclean.Options) MethodResult {
-	start := time.Now()
-	res, err := holoclean.New(opts).Clean(g.Dirty, g.Constraints)
-	if err != nil {
-		return MethodResult{Method: "HoloClean", Err: err}
-	}
-	eval, err := metrics.Evaluate(g.Dirty, res.Repaired, g.Truth)
-	if err != nil {
-		return MethodResult{Method: "HoloClean", Err: err}
-	}
-	return MethodResult{
-		Method:  "HoloClean",
-		Eval:    eval,
-		Runtime: time.Since(start),
-	}
+	_, r := RunHoloCleanResult(g, opts)
+	return r
 }
 
 // RunHoloCleanResult is RunHoloClean but also returns the raw result for

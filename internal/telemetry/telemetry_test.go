@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -235,10 +234,6 @@ func TestNilRegistryNoops(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil metrics returned nonzero values")
 	}
-	tr := NewTracer(nil, "t", "")
-	sp := tr.Start("learn")
-	sp.End()
-	tr.Observe("learn", time.Second)
 }
 
 // TestNoopPathZeroAllocs pins the disabled path at zero allocations:
@@ -250,39 +245,13 @@ func TestNoopPathZeroAllocs(t *testing.T) {
 	c := r.Counter("x", "")
 	h := r.Histogram("z", "", LatencyBuckets)
 	hv := r.HistogramVec("hv", "", LatencyBuckets, "l")
-	tr := NewTracer(nil, "t", "")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		h.Observe(0.5)
 		hv.With("a").Observe(0.5)
-		sp := tr.Start("learn")
-		sp.End()
-		tr.Observe("infer", time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("no-op path allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestTracerRecords(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "stage_seconds", "per-stage")
-	sp := tr.Start("learn")
-	sp.End()
-	tr.Observe("infer", 250*time.Millisecond)
-	tr.Observe("infer", -time.Second) // dropped
-	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`stage_seconds_count{stage="learn"} 1`,
-		`stage_seconds_count{stage="infer"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q:\n%s", want, out)
-		}
 	}
 }
 

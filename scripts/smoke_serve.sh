@@ -93,6 +93,8 @@ printf '%s' "$metrics" | grep '^holoclean_reclean_seconds_count 1$' >/dev/null \
   || { echo "FAIL: /metrics missing the reclean histogram after a delta round"; exit 1; }
 printf '%s' "$metrics" | grep '^holoclean_pipeline_stage_seconds_bucket{stage="detect"' >/dev/null \
   || { echo "FAIL: /metrics missing per-stage pipeline histograms"; exit 1; }
+printf '%s' "$metrics" | grep '^holoclean_pipeline_stage_seconds_bucket{stage="compile"' >/dev/null \
+  || { echo "FAIL: /metrics missing the compile stage recorded from RunStats"; exit 1; }
 printf '%s' "$metrics" | grep '^holoclean_http_request_seconds_bucket{endpoint=' >/dev/null \
   || { echo "FAIL: /metrics missing request-latency histograms"; exit 1; }
 printf '%s' "$metrics" | grep '^holoclean_wal_fsync_seconds_count [1-9]' >/dev/null \

@@ -58,8 +58,10 @@ type SessionStoreInfo struct {
 	LastCheckpointAt   *time.Time `json:"last_checkpoint_at,omitempty"`
 }
 
-// RunStatsInfo is holoclean.RunStats with wall-clock durations in
-// milliseconds, the shape clients chart latency from.
+// RunStatsInfo is holoclean.RunStats with durations in milliseconds,
+// the shape clients chart latency from. As in RunStats, detect, stats,
+// compile and learn are wall-clock; ground and infer are summed over
+// workers and can exceed total.
 type RunStatsInfo struct {
 	NoisyCells int `json:"noisy_cells"`
 	Variables  int `json:"variables"`
@@ -94,8 +96,10 @@ type RunStatsInfo struct {
 	AllocObjects  uint64  `json:"alloc_objects"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
 	DetectMS      float64 `json:"detect_ms"`
+	StatsMS       float64 `json:"stats_ms"`
 	CompileMS     float64 `json:"compile_ms"`
 	LearnMS       float64 `json:"learn_ms"`
+	GroundMS      float64 `json:"ground_ms"`
 	InferMS       float64 `json:"infer_ms"`
 	TotalMS       float64 `json:"total_ms"`
 }
@@ -120,8 +124,10 @@ func runStatsInfo(s holoclean.RunStats) *RunStatsInfo {
 		AllocObjects:         s.AllocObjects,
 		PeakHeapBytes:        s.PeakHeapBytes,
 		DetectMS:             ms(s.DetectTime),
+		StatsMS:              ms(s.StatsTime),
 		CompileMS:            ms(s.CompileTime),
 		LearnMS:              ms(s.LearnTime),
+		GroundMS:             ms(s.GroundTime),
 		InferMS:              ms(s.InferTime),
 		TotalMS:              ms(s.TotalTime),
 	}

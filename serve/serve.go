@@ -306,7 +306,6 @@ func (sv *Server) sessionOptions() holoclean.Options {
 	}
 	o.Workers = sv.cfg.Workers
 	o.IntraWorkers = sv.cfg.IntraWorkers
-	o.Tracer = sv.tel.tracer()
 	return o
 }
 
@@ -585,6 +584,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "initial clean: %v", err)
 		return
 	}
+	sv.tel.observeRun(res.Stats)
 
 	t := &tenant{id: sv.nextID(), name: req.Name, ov: ov, created: time.Now(), session: session}
 	t.touch(time.Now())
@@ -893,13 +893,13 @@ func (sv *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tRun := time.Now()
 	res, err := s.Reclean()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "reclean: %v", err)
 		return
 	}
-	sv.tel.observeReclean(t.id, time.Since(tRun), res.Stats.ShardsReused)
+	sv.tel.observeRun(res.Stats)
+	sv.tel.observeReclean(t.id, res.Stats)
 	if err := t.setResult(res); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -970,7 +970,6 @@ func (sv *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	relearned := sv.relearnDue(t)
-	tRun := time.Now()
 	res, err := t.session.Feedback(fb)
 	if err != nil {
 		// Validation failures (out of range, empty value, duplicate
@@ -985,7 +984,8 @@ func (sv *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	sv.tel.observeReclean(t.id, time.Since(tRun), res.Stats.ShardsReused)
+	sv.tel.observeRun(res.Stats)
+	sv.tel.observeReclean(t.id, res.Stats)
 	if err := t.setResult(res); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"holoclean"
 	"holoclean/internal/store"
 	"holoclean/internal/telemetry"
 )
@@ -14,7 +15,8 @@ import (
 // routed, and no hot path allocates.
 type serverMetrics struct {
 	reg *telemetry.Registry
-	tr  *telemetry.Tracer
+
+	stages *telemetry.HistogramVec // pipeline stage durations, read from each run's RunStats
 
 	httpSeconds *telemetry.HistogramVec // request latency per route pattern
 	httpTotal   *telemetry.CounterVec   // requests per route pattern and status class
@@ -45,8 +47,9 @@ type serverMetrics struct {
 func newServerMetrics(reg *telemetry.Registry, sv *Server) *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
-		tr: telemetry.NewTracer(reg, "holoclean_pipeline_stage_seconds",
-			"Per-stage pipeline durations (detect, stats, ground, learn, infer, checkpoint, total)."),
+		stages: reg.HistogramVec("holoclean_pipeline_stage_seconds",
+			"Per-stage pipeline durations from each run's RunStats: detect, stats, compile and learn are wall-clock; "+
+				"ground and infer are summed over workers; plus checkpoint and total.", telemetry.LatencyBuckets, "stage"),
 		httpSeconds: reg.HistogramVec("holoclean_http_request_seconds",
 			"HTTP request latency by route pattern.", telemetry.LatencyBuckets, "endpoint"),
 		httpTotal: reg.CounterVec("holoclean_http_requests_total",
@@ -109,21 +112,31 @@ func newServerMetrics(reg *telemetry.Registry, sv *Server) *serverMetrics {
 	return m
 }
 
-// tracer returns the pipeline tracer sessions record spans into (nil
-// when telemetry is off — the pipeline's no-op path).
-func (m *serverMetrics) tracer() *telemetry.Tracer {
+// observeRun records one pipeline run's stage clocks. Stats and learn
+// are recorded only when the stage ran: full runs collect statistics
+// inside compile, and recleans that reuse weights learn nothing.
+func (m *serverMetrics) observeRun(st holoclean.RunStats) {
 	if m == nil {
-		return nil
+		return
 	}
-	return m.tr
+	m.stages.With("detect").Observe(st.DetectTime.Seconds())
+	if st.StatsTime > 0 {
+		m.stages.With("stats").Observe(st.StatsTime.Seconds())
+	}
+	m.stages.With("compile").Observe(st.CompileTime.Seconds())
+	if st.LearnTime > 0 {
+		m.stages.With("learn").Observe(st.LearnTime.Seconds())
+	}
+	m.stages.With("ground").Observe(st.GroundTime.Seconds())
+	m.stages.With("infer").Observe(st.InferTime.Seconds())
+	m.stages.With("total").Observe(st.TotalTime.Seconds())
 }
 
-// span opens a serve-side pipeline stage span (e.g. "checkpoint").
-func (m *serverMetrics) span(stage string) telemetry.Span {
-	if m == nil {
-		return telemetry.Span{}
+// observeCheckpoint records one serve-side checkpoint duration.
+func (m *serverMetrics) observeCheckpoint(d time.Duration) {
+	if m != nil {
+		m.stages.With("checkpoint").Observe(d.Seconds())
 	}
-	return m.tr.Start(stage)
 }
 
 // observeRequest records one dispatched HTTP request.
@@ -145,15 +158,15 @@ func (m *serverMetrics) observeRequest(endpoint string, status int, d time.Durat
 }
 
 // observeReclean records one completed reclean (delta or feedback
-// round) for tenant id.
-func (m *serverMetrics) observeReclean(id string, d time.Duration, shardsReused int) {
+// round) for tenant id, timed by the run's own TotalTime.
+func (m *serverMetrics) observeReclean(id string, st holoclean.RunStats) {
 	if m == nil {
 		return
 	}
-	s := d.Seconds()
+	s := st.TotalTime.Seconds()
 	m.reclean.Observe(s)
 	m.tenantReclean.With(id).Observe(s)
-	m.tenantReuse.With(id).Observe(float64(shardsReused))
+	m.tenantReuse.With(id).Observe(float64(st.ShardsReused))
 }
 
 // rejected counts one 429 backpressure response.

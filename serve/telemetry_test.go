@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +74,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	tc.mustJSON("GET", "/healthz", nil, &h)
 	if h.RecleanP50MS <= 0 || h.RecleanP99MS < h.RecleanP50MS {
 		t.Fatalf("healthz reclean quantiles not populated: p50=%v p99=%v", h.RecleanP50MS, h.RecleanP99MS)
+	}
+}
+
+// TestMetricsStagesMatchResponses pins /metrics to the pipeline's one
+// stage clock: the stage histogram is recorded from the same RunStats the
+// responses report, so over a create and one delta its sums equal the
+// responses' millisecond fields, and every run records a compile stage.
+func TestMetricsStagesMatchResponses(t *testing.T) {
+	_, tc := newTestServer(t, Config{Workers: 1, MaxConcurrentJobs: 1, Telemetry: telemetry.NewRegistry()})
+	info := tc.create("clock", fixtureCSV("clock", 20), 1, 0)
+	var dres DeltaResponse
+	tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas", DeltaRequest{Ops: []DeltaOp{
+		{Op: "upsert", Row: 1, Values: []string{"clock-k001", "clock-freshbad"}},
+	}}, &dres)
+	if info.Stats == nil || dres.Stats == nil {
+		t.Fatal("create or delta response carries no stats")
+	}
+	_, raw := tc.do("GET", "/metrics", "", nil)
+	body := string(raw)
+
+	stageSumMS := func(stage string) float64 {
+		prefix := `holoclean_pipeline_stage_seconds_sum{stage="` + stage + `"} `
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("parsing %q: %v", line, err)
+				}
+				return f * 1e3
+			}
+		}
+		t.Fatalf("/metrics has no %s sum:\n%s", stage, body)
+		return 0
+	}
+	for _, c := range []struct {
+		stage         string
+		create, delta float64
+	}{
+		{"total", info.Stats.TotalMS, dres.Stats.TotalMS},
+		{"detect", info.Stats.DetectMS, dres.Stats.DetectMS},
+		{"compile", info.Stats.CompileMS, dres.Stats.CompileMS},
+	} {
+		got, want := stageSumMS(c.stage), c.create+c.delta
+		if math.Abs(got-want) > 1e-3 {
+			t.Errorf("stage %q: /metrics sum %.6f ms, responses sum %.6f ms", c.stage, got, want)
+		}
+	}
+	if want := `holoclean_pipeline_stage_seconds_count{stage="compile"} 2`; !strings.Contains(body, want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 

@@ -162,8 +162,7 @@ func (sv *Server) buildCheckpoint(t *tenant) (*walCheckpoint, error) {
 // checkpointLocked appends a checkpoint record for t's live session.
 // Call with t.mu held and the session quiescent.
 func (sv *Server) checkpointLocked(t *tenant) error {
-	sp := sv.tel.span("checkpoint")
-	defer sp.End()
+	defer func(t0 time.Time) { sv.tel.observeCheckpoint(time.Since(t0)) }(time.Now())
 	ck, err := sv.buildCheckpoint(t)
 	if err != nil {
 		return err
@@ -363,6 +362,9 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 			return fmt.Errorf("restoring checkpoint of %s: %w", t.id, err)
 		}
 		t.session, res = s, r
+		if r != nil { // nil when the snapshot predates the first clean
+			sv.tel.observeRun(r.Stats)
+		}
 	} else {
 		// Genesis replay: the first record must be the create request.
 		if tail[0].Op != store.OpCreate {
@@ -391,6 +393,7 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 		if res, err = s.Clean(); err != nil {
 			return fmt.Errorf("replaying initial clean of %s: %w", t.id, err)
 		}
+		sv.tel.observeRun(res.Stats)
 		t.session = s
 		tail = tail[1:]
 	}
@@ -440,6 +443,7 @@ func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, err
 		if err != nil {
 			return nil, fmt.Errorf("replaying reclean of record %d of %s: %w", r.Seq, t.id, err)
 		}
+		sv.tel.observeRun(res.Stats)
 		t.markApplied(p.OpID)
 		return res, nil
 	case store.OpFeedback:
@@ -455,6 +459,7 @@ func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, err
 		if err != nil {
 			return nil, fmt.Errorf("replaying feedback record %d of %s: %w", r.Seq, t.id, err)
 		}
+		sv.tel.observeRun(res.Stats)
 		t.markApplied(p.OpID)
 		return res, nil
 	case store.OpOptions:

@@ -312,9 +312,9 @@ func (s *Session) Reclean() (*Result, error) {
 	for a := range prevQuasi {
 		prevQuasi[a] = s.st.DistinctValues(a)*4 > s.prevN
 	}
-	spStats := cl.opts.Tracer.Start("stats")
+	tStats := time.Now()
 	stDelta, maskedDelta := s.applyStatDeltas(changed, maskChanged, newNoisy)
-	spStats.End()
+	statsTime := time.Since(tStats)
 
 	// --- Compile: full pruning over the new noisy set, statistics and
 	// detection injected, no evidence sampling (weights are reused). ---
@@ -406,16 +406,14 @@ func (s *Session) Reclean() (*Result, error) {
 
 	inc := &incrementalInputs{
 		prep:       prep,
-		detection:  detection,
-		hypergraph: hyper,
-		st:         s.st,
-		masked:     s.masked,
 		weights:    s.weights,
 		shared:     s.shared,
 		interner:   s.interner,
 		prevSigs:   s.prevSigs,
 		outcomes:   s.outcomes,
+		start:      start,
 		detectTime: detectTime,
+		statsTime:  statsTime,
 	}
 	if !globalDirty {
 		inc.dirty = dirty
@@ -425,7 +423,6 @@ func (s *Session) Reclean() (*Result, error) {
 		return nil, err
 	}
 	s.adopt(res, art)
-	res.Stats.TotalTime = time.Since(start) // include the delta pre-work
 	return res, nil
 }
 

@@ -388,25 +388,52 @@ func TestParallelVarSeedsMixedEvidence(t *testing.T) {
 	}
 }
 
-// TestPhaseTimesWithinTotal is the regression test for the timing
-// mis-attribution: with a single worker, the per-phase clocks (which now
-// include shared-index construction in CompileTime) must sum to at most
-// the total wall clock.
+// TestPhaseTimesWithinTotal pins the stage clock's accounting: with a
+// single worker, every RunStats stage (summed worker time included, since
+// one worker runs the shards back to back) fits inside the total wall
+// clock, on a full Clean and on an incremental Reclean alike. Only the
+// reclean reapplies delta statistics, so only it reports StatsTime.
 func TestPhaseTimesWithinTotal(t *testing.T) {
 	g := datagen.Hospital(datagen.Config{Tuples: 200, Seed: 3})
 	opts := DefaultOptions()
 	opts.Workers = 1
-	res, err := New(opts).Clean(g.Dirty, g.Constraints)
+	s, err := NewSession(g.Dirty, g.Constraints, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Stats
-	phases := s.DetectTime + s.CompileTime + s.LearnTime + s.InferTime
-	if phases > s.TotalTime {
-		t.Errorf("phase times sum to %v > TotalTime %v (Detect %v Compile %v Learn %v Infer %v)",
-			phases, s.TotalTime, s.DetectTime, s.CompileTime, s.LearnTime, s.InferTime)
+	full, err := s.Clean()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.CompileTime <= 0 {
-		t.Errorf("CompileTime not populated")
+	row := make([]string, g.Dirty.NumAttrs())
+	for a := range row {
+		row[a] = g.Dirty.GetString(5, a)
+	}
+	row[1] = g.Dirty.GetString(17, 1)
+	if _, err := s.Upsert(5, row); err != nil {
+		t.Fatal(err)
+	}
+	incr, err := s.Reclean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		st   RunStats
+	}{{"clean", full.Stats}, {"reclean", incr.Stats}} {
+		st := run.st
+		phases := st.DetectTime + st.StatsTime + st.CompileTime + st.GroundTime + st.LearnTime + st.InferTime
+		if phases > st.TotalTime {
+			t.Errorf("%s: stage times sum to %v > TotalTime %v (%+v)", run.name, phases, st.TotalTime, st)
+		}
+		if st.CompileTime <= 0 || st.GroundTime <= 0 {
+			t.Errorf("%s: CompileTime %v / GroundTime %v not populated", run.name, st.CompileTime, st.GroundTime)
+		}
+	}
+	if full.Stats.StatsTime != 0 {
+		t.Errorf("full Clean reports StatsTime %v, want 0", full.Stats.StatsTime)
+	}
+	if incr.Stats.StatsTime <= 0 {
+		t.Errorf("Reclean reports StatsTime %v, want > 0", incr.Stats.StatsTime)
 	}
 }
