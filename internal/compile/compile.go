@@ -573,15 +573,19 @@ func softFeatureFunc(ds *dataset.Dataset, st, masked *stats.Stats) func(dataset.
 			cclnKeys[a*n+g] = "ccln|" + suffix
 		}
 	}
-	family := func(c dataset.Cell, dom []int32, src *stats.Stats, g int, vg dataset.Value, key string, init float64) (ddlog.SoftFeature, bool) {
-		if len(src.GivenHistogram(c.Attr, g, vg)) == 0 {
+	// family reads the (a, g, v_g) histogram and Freq(g, v_g) once per
+	// cell, then one histogram bucket per candidate: h[d] = Pr[d | v_g].
+	family := func(a int, dom []int32, src *stats.Stats, g int, vg dataset.Value, key string, init float64) (ddlog.SoftFeature, bool) {
+		hist := src.GivenHistogram(a, g, vg)
+		fg := src.Freq(g, vg)
+		if len(hist) == 0 || fg == 0 {
 			return ddlog.SoftFeature{}, false
 		}
 		h := make([]float64, len(dom))
 		any := false
 		for d, label := range dom {
-			h[d] = src.CondProb(c.Attr, dataset.Value(label), g, vg)
-			if h[d] != 0 {
+			if cnt := hist[dataset.Value(label)]; cnt != 0 {
+				h[d] = float64(cnt) / float64(fg)
 				any = true
 			}
 		}
@@ -599,19 +603,20 @@ func softFeatureFunc(ds *dataset.Dataset, st, masked *stats.Stats) func(dataset.
 		// — earns no mass no matter how self-consistent its tuples are.
 		// Quasi-key attributes (dates, identifiers) are exempt: frequency
 		// carries no signal when nearly every value is unique.
-		freqH := make([]float64, len(dom))
-		maxF := 0
-		quasiKey := st.DistinctValues(c.Attr)*4 > ds.NumTuples()
-		for _, label := range dom {
-			if f := masked.Freq(c.Attr, dataset.Value(label)); f > maxF {
-				maxF = f
-			}
-		}
-		if maxF > 0 && !quasiKey {
+		if quasiKey := st.DistinctValues(c.Attr)*4 > ds.NumTuples(); !quasiKey {
+			freqH := make([]float64, len(dom))
+			maxF := 0
 			for d, label := range dom {
-				freqH[d] = float64(masked.Freq(c.Attr, dataset.Value(label))) / float64(maxF)
+				f := masked.Freq(c.Attr, dataset.Value(label))
+				freqH[d] = float64(f)
+				maxF = max(maxF, f)
 			}
-			out = append(out, ddlog.SoftFeature{Key: freqKeys[c.Attr], H: freqH, Init: 1.0})
+			if maxF > 0 {
+				for d := range freqH {
+					freqH[d] /= float64(maxF)
+				}
+				out = append(out, ddlog.SoftFeature{Key: freqKeys[c.Attr], H: freqH, Init: 1.0})
+			}
 		}
 		for g := 0; g < n; g++ {
 			if g == c.Attr {
@@ -621,10 +626,10 @@ func softFeatureFunc(ds *dataset.Dataset, st, masked *stats.Stats) func(dataset.
 			if vg == dataset.Null || st.Freq(g, vg) < 2 {
 				continue
 			}
-			if f, ok := family(c, dom, st, g, vg, coocKeys[c.Attr*n+g], 0.5); ok {
+			if f, ok := family(c.Attr, dom, st, g, vg, coocKeys[c.Attr*n+g], 0.5); ok {
 				out = append(out, f)
 			}
-			if f, ok := family(c, dom, masked, g, vg, cclnKeys[c.Attr*n+g], 1.0); ok {
+			if f, ok := family(c.Attr, dom, masked, g, vg, cclnKeys[c.Attr*n+g], 1.0); ok {
 				out = append(out, f)
 			}
 		}

@@ -101,7 +101,10 @@ func (cfg *Config) wantFactors(c dataset.Cell) bool {
 // way Example 5 does — one factor per value combination of the involved
 // random variables — while the compact in-memory representation stores
 // one predicate factor per tuple pair and aggregates identical unary
-// factors with multiplicities.
+// factors with multiplicities. PairsChecked counts counterpart
+// evaluations: tuple pairs checked by DC-factor grounding, and
+// counterpart classes (not tuples; see counterpartClass) evaluated by
+// relaxed-DC grounding.
 type Stats struct {
 	Variables    int
 	QueryVars    int
@@ -258,14 +261,14 @@ func (a *Arena) nextSeen(n int) {
 }
 
 type grounder struct {
-	db      *Database
-	cfg     Config
-	g       *factor.Graph
-	out     *Grounded
-	ar      *Arena
-	sym     []int8                    // constraint → -1 unknown / 0 no / 1 symmetric under tuple swap
-	grp     [][]int32                 // lazy local group index (nil until first sameGroup without db.GroupIndex)
-	initIdx []map[dataset.Value][]int // attribute → initial value → tuples; nil = unbuilt
+	db    *Database
+	cfg   Config
+	g     *factor.Graph
+	out   *Grounded
+	ar    *Arena
+	sym   []int8       // constraint → -1 unknown / 0 no / 1 symmetric under tuple swap
+	grp   [][]int32    // lazy local group index (nil until first sameGroup without db.GroupIndex)
+	local *SharedIndex // counterpart classes when db.Shared is nil
 }
 
 // Ground evaluates every rule of the program against the database and
@@ -279,12 +282,11 @@ func Ground(db *Database, prog *Program, cfg Config) (*Grounded, error) {
 	ar.cellVars.reset(db.DS.NumTuples(), db.DS.NumAttrs())
 	ar.nextSeen(db.DS.NumTuples())
 	gr := &grounder{
-		db:      db,
-		cfg:     cfg,
-		g:       factor.NewGraph(),
-		ar:      ar,
-		sym:     make([]int8, len(db.Bounds)),
-		initIdx: make([]map[dataset.Value][]int, db.DS.NumAttrs()),
+		db:  db,
+		cfg: cfg,
+		g:   factor.NewGraph(),
+		ar:  ar,
+		sym: make([]int8, len(db.Bounds)),
 	}
 	for i := range gr.sym {
 		gr.sym[i] = -1

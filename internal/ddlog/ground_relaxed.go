@@ -1,6 +1,8 @@
 package ddlog
 
 import (
+	"slices"
+
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 )
@@ -19,24 +21,30 @@ import (
 // raw count keeps duplicate-heavy conflict groups (hundreds of identical
 // counterparts) from drowning every other signal, while PaperFactors
 // still counts one grounding per counterpart as Example 5 does.
+//
+// Joined counterparts are evaluated per class rather than per tuple (see
+// counterpartClass): every count is an exact integer sum either way, so
+// the soft factors are bit-identical to a per-tuple walk.
 func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 	b := gr.db.Bounds[rule.Constraint]
-	hr := rule.Head
 	key := "rdc|" + rule.Name
+	rc := relaxCtx{b: b, hr: rule.Head}
 
 	// Split predicates into those referencing the head cell (evaluated
 	// per candidate) and body predicates (evaluated on initial values).
-	var headPreds, bodyPreds []int
 	for i := range b.Preds {
-		if predReferences(b, i, hr) {
-			headPreds = append(headPreds, i)
+		if predReferences(b, i, rc.hr) {
+			rc.headPreds = append(rc.headPreds, i)
 		} else {
-			bodyPreds = append(bodyPreds, i)
+			rc.bodyPreds = append(rc.bodyPreds, i)
 		}
+	}
+	if b.TupleVars == 2 {
+		rc.plan()
 	}
 
 	for vi, c := range gr.out.Cells {
-		if c.Attr != hr.Attr || !gr.cfg.wantFactors(c) {
+		if c.Attr != rc.hr.Attr || !gr.cfg.wantFactors(c) {
 			continue
 		}
 		v := int32(vi)
@@ -53,9 +61,9 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 		for d := range counts {
 			counts[d] = 0
 		}
+		rc.c, rc.dom, rc.counts = c, dom, counts
 		var total int32
 		scale := 1.0
-		rc := relaxCtx{b: b, hr: hr, c: c, dom: dom, headPreds: headPreds, bodyPreds: bodyPreds, counts: counts}
 		if b.TupleVars == 1 {
 			total = gr.relaxSingle(&rc)
 		} else {
@@ -82,17 +90,60 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 	return nil
 }
 
-// relaxCtx carries one head cell's relaxed-grounding state through the
-// counterpart loops. Passing it explicitly (rather than capturing it in
-// closures) keeps the per-cell loop free of heap-allocated closures.
+// Counterpart strategies of a pairwise relaxation, fixed per rule.
+const (
+	joinBody = iota // body equality join on initial values
+	joinHead        // the head predicate itself is an equality
+	joinScan        // no equality to index on: capped scan
+)
+
+// relaxCtx carries one relaxation's grounding state: the rule-level plan
+// (predicate split, counterpart strategy, class index) and the current
+// head cell. Passing it explicitly (rather than capturing it in closures)
+// keeps the per-cell loop free of heap-allocated closures.
 type relaxCtx struct {
 	b         *dc.Bound
 	hr        CellRef
-	c         dataset.Cell
-	dom       []int32
 	headPreds []int
 	bodyPreds []int
-	counts    []int32
+
+	strategy int
+	headAttr int   // joinBody: the head tuple's side of the join
+	joinAttr int   // joinBody/joinHead: the counterpart's side of the join
+	proj     []int // counterpart attributes a class is keyed by, joinAttr first
+	classes  map[dataset.Value][]counterpartClass
+
+	c      dataset.Cell
+	dom    []int32
+	counts []int32
+}
+
+// plan picks the counterpart strategy of a pairwise relaxation and the
+// attributes its counterpart classes are keyed by: the join attribute,
+// then every other attribute any predicate reads from the counterpart's
+// tuple variable. Two counterparts agreeing on all of them are
+// indistinguishable to every predicate.
+func (rc *relaxCtx) plan() {
+	rc.strategy = joinScan
+	if pi, headAttr, joinAttr := bodyEqJoin(rc.b, rc.hr, rc.bodyPreds); pi >= 0 {
+		rc.strategy, rc.headAttr, rc.joinAttr = joinBody, headAttr, joinAttr
+	} else if pi, joinAttr := headEqJoin(rc.b, rc.hr, rc.headPreds); pi >= 0 {
+		rc.strategy, rc.joinAttr = joinHead, joinAttr
+	} else {
+		return
+	}
+	cv := 1 - rc.hr.TupleVar
+	rc.proj = []int{rc.joinAttr}
+	for i := range rc.b.Preds {
+		p := &rc.b.Preds[i]
+		if p.LeftTuple == cv && !slices.Contains(rc.proj, p.LeftAttr) {
+			rc.proj = append(rc.proj, p.LeftAttr)
+		}
+		if !p.RightIsConst && p.RightTuple == cv && !slices.Contains(rc.proj, p.RightAttr) {
+			rc.proj = append(rc.proj, p.RightAttr)
+		}
+	}
+	slices.Sort(rc.proj[1:])
 }
 
 // tups returns the (t1, t2) pair with the head tuple in its role.
@@ -137,13 +188,20 @@ func (gr *grounder) relaxSingle(rc *relaxCtx) int32 {
 // itself noisy (the body-join cell of the head tuple), the testimony is
 // halved — the violation may be resolvable by repairing that cell instead,
 // the multi-cell blind spot Section 5.2 acknowledges.
+//
+// Both joins walk counterpart classes. The head tuple is never its own
+// counterpart; when it falls inside a walked class, one evaluation of it
+// with weight −1 takes it back out.
 func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 	ds := gr.db.DS
 	var total int32
-
-	// Strategy 1: body equality join on initial values.
-	if pi, headAttr, otherAttr := gr.bodyEqJoin(rc.b, rc.hr, rc.bodyPreds); pi >= 0 {
-		probe := ds.Get(rc.c.Tuple, headAttr)
+	self := rc.c.Tuple
+	if rc.strategy != joinScan && rc.classes == nil {
+		rc.classes = gr.counterpartClasses(rc.proj)
+	}
+	switch rc.strategy {
+	case joinBody:
+		probe := ds.Get(self, rc.headAttr)
 		if probe == dataset.Null {
 			return 0, 1
 		}
@@ -151,43 +209,48 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 		// The discount applies only when the join cell has an actual
 		// alternative: a flagged cell with a singleton domain cannot be
 		// the repair that resolves the violation.
-		if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && len(gr.g.Vars[jv].Domain) >= 2 {
+		if jv := gr.queryVarOf(dataset.Cell{Tuple: self, Attr: rc.headAttr}); jv >= 0 && len(gr.g.Vars[jv].Domain) >= 2 {
 			scale = 0.5
 		}
-		for _, t2 := range gr.initIndex(otherAttr)[probe] {
-			if gr.checkCounterpart(rc, t2) {
-				total++
+		for _, cl := range rc.classes[probe] {
+			if gr.checkClass(rc, cl.rep, cl.n) {
+				total += cl.n
 			}
 		}
+		if ds.Get(self, rc.joinAttr) == probe && gr.checkClass(rc, self, -1) {
+			total--
+		}
 		return total, scale
-	}
-	// Strategy 2: the head predicate itself is an equality — candidates
-	// index directly into the counterpart side. The per-cell dedup set is
-	// the arena's epoch-marked tuple set, not a fresh map.
-	if pi, otherAttr := gr.headEqJoin(rc.b, rc.hr, rc.headPreds); pi >= 0 {
-		idx := gr.initIndex(otherAttr)
-		gr.ar.nextSeen(ds.NumTuples())
+	case joinHead:
+		// Candidates index directly into the counterpart side; every
+		// join-matched counterpart enters the denominator. Domain labels
+		// are distinct, so the per-label buckets are disjoint.
+		own := ds.Get(self, rc.joinAttr)
+		ownMatched := false
 		for _, label := range rc.dom {
-			for _, t2 := range idx[dataset.Value(label)] {
-				if !gr.ar.seen(t2) {
-					if t2 != rc.c.Tuple {
-						total++
-					}
-					gr.checkCounterpart(rc, t2)
-				}
+			for _, cl := range rc.classes[dataset.Value(label)] {
+				total += cl.n
+				gr.checkClass(rc, cl.rep, cl.n)
 			}
+			if dataset.Value(label) == own {
+				ownMatched = true
+			}
+		}
+		if ownMatched {
+			total--
+			gr.checkClass(rc, self, -1)
 		}
 		return total, 1
 	}
-	// Strategy 3: scan.
+	// Scan.
 	n := ds.NumTuples()
 	cap := gr.cfg.MaxScanCounterparts
 	cnt := 0
 	for t2 := 0; t2 < n; t2++ {
-		if t2 == rc.c.Tuple {
+		if t2 == self {
 			continue
 		}
-		if gr.checkCounterpart(rc, t2) {
+		if gr.checkClass(rc, t2, 1) {
 			total++
 		}
 		cnt++
@@ -198,19 +261,20 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 	return total, 1
 }
 
-// checkCounterpart accumulates violation counts for one counterpart and
-// reports whether its body predicates held. The caller decides what
-// enters the fraction denominator: for a body-equality join the relevant
-// counterparts are the body-passers (the conflict context), while for a
-// head-equality join every join-matched counterpart is relevant —
-// otherwise a candidate with a single conflicting counterpart would
-// always score the full −1.
-func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
-	if t2 == rc.c.Tuple {
-		return false
+// checkClass evaluates the counterpart rep standing for n tuples with its
+// initial values on every attribute the constraint reads from the
+// counterpart side, adds n to the count of each candidate the class would
+// violate, and reports whether its body predicates held. The caller
+// decides what enters the fraction denominator: for a body-equality join
+// the relevant counterparts are the body-passers (the conflict context),
+// while for a head-equality join every join-matched counterpart is
+// relevant — otherwise a candidate with a single conflicting counterpart
+// would always score the full −1.
+func (gr *grounder) checkClass(rc *relaxCtx, rep int, n int32) bool {
+	tups := rc.tups(rep)
+	if n > 0 {
+		gr.out.Stats.PairsChecked++
 	}
-	tups := rc.tups(t2)
-	gr.out.Stats.PairsChecked++
 	for _, i := range rc.bodyPreds {
 		if !rc.b.HoldsPred(i, tups[0], tups[1]) {
 			return false
@@ -225,7 +289,7 @@ func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
 			}
 		}
 		if ok {
-			rc.counts[d]++
+			rc.counts[d] += n
 		}
 	}
 	return true
@@ -233,7 +297,7 @@ func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
 
 // bodyEqJoin finds a body equality predicate across tuple variables and
 // returns its index plus the head-side and counterpart-side attributes.
-func (gr *grounder) bodyEqJoin(b *dc.Bound, hr CellRef, bodyPreds []int) (pi, headAttr, otherAttr int) {
+func bodyEqJoin(b *dc.Bound, hr CellRef, bodyPreds []int) (pi, headAttr, otherAttr int) {
 	for _, i := range bodyPreds {
 		p := &b.Preds[i]
 		if p.Op != dc.Eq || p.RightIsConst || p.LeftTuple == p.RightTuple {
@@ -249,7 +313,7 @@ func (gr *grounder) bodyEqJoin(b *dc.Bound, hr CellRef, bodyPreds []int) (pi, he
 
 // headEqJoin finds an equality head predicate whose other side is a cell
 // of the counterpart tuple, returning its index and that attribute.
-func (gr *grounder) headEqJoin(b *dc.Bound, hr CellRef, headPreds []int) (pi, otherAttr int) {
+func headEqJoin(b *dc.Bound, hr CellRef, headPreds []int) (pi, otherAttr int) {
 	for _, i := range headPreds {
 		p := &b.Preds[i]
 		if p.Op != dc.Eq || p.RightIsConst || p.LeftTuple == p.RightTuple {
@@ -267,29 +331,18 @@ func (gr *grounder) headEqJoin(b *dc.Bound, hr CellRef, headPreds []int) (pi, ot
 	return -1, 0
 }
 
-// initIndex returns the initial-value index of attr (value → tuples).
-// When the database carries a SharedIndex the per-attribute build is
-// delegated to it (and so happens once across all shards); the grounder's
-// dense attribute-indexed cache still skips the shared lock on repeat
-// lookups.
-func (gr *grounder) initIndex(attr int) map[dataset.Value][]int {
-	if idx := gr.initIdx[attr]; idx != nil {
-		return idx
-	}
-	if gr.db.Shared != nil {
-		idx := gr.db.Shared.Init(attr)
-		gr.initIdx[attr] = idx
-		return idx
-	}
-	idx := make(map[dataset.Value][]int)
-	for t := 0; t < gr.db.DS.NumTuples(); t++ {
-		v := gr.db.DS.Get(t, attr)
-		if v != dataset.Null {
-			idx[v] = append(idx[v], t)
+// counterpartClasses returns the class index over attrs (join attribute
+// first) from the database's SharedIndex, built once per run across all
+// shards, or from a grounder-private one when the database carries none.
+func (gr *grounder) counterpartClasses(attrs []int) map[dataset.Value][]counterpartClass {
+	idx := gr.db.Shared
+	if idx == nil {
+		if gr.local == nil {
+			gr.local = NewSharedIndex(gr.db.DS, nil)
 		}
+		idx = gr.local
 	}
-	gr.initIdx[attr] = idx
-	return idx
+	return idx.classesOver(attrs)
 }
 
 // predReferences reports whether predicate i mentions the head cell

@@ -1,6 +1,8 @@
 package ddlog
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"holoclean/internal/dataset"
@@ -8,19 +10,72 @@ import (
 )
 
 // SharedIndex caches the dataset-wide indexes grounding consults — the
-// per-attribute initial-value index and the per-attribute candidate-label
-// buckets used to join denial constraints. A single SharedIndex is built
-// from the global domains and shared read-mostly across the per-shard
-// grounders of the sharded pipeline, so the O(|D|) index builds happen
-// once per attribute instead of once per shard. All methods are safe for
-// concurrent use.
+// counterpart classes of relaxed denial constraints and the
+// per-attribute candidate-label buckets used to join denial constraints.
+// A single SharedIndex is built from the global domains and shared
+// read-mostly across the per-shard grounders of the sharded pipeline, so
+// the O(|D|) index builds happen once per run instead of once per shard.
+// All methods are safe for concurrent use.
 type SharedIndex struct {
 	ds      *dataset.Dataset
 	domains *pruning.Domains
 
-	mu   sync.RWMutex
-	init map[int]map[dataset.Value][]int
-	cand map[int]map[int32][]int
+	mu      sync.RWMutex
+	classes map[string]classIndex
+	cand    map[int]map[int32][]int
+}
+
+// counterpartClass is a set of counterpart tuples that agree, on their
+// initial values, on every attribute a relaxed denial constraint reads
+// from the counterpart's tuple variable. Every predicate sees the same
+// values for each member, so grounding evaluates the class once through
+// its representative and weighs the result by its size. On data with few
+// distinct contexts (a dozen zips, a few dozen measure codes) a join
+// group of hundreds of tuples collapses to a handful of classes.
+type counterpartClass struct {
+	rep int   // a member tuple
+	n   int32 // number of members
+}
+
+// classIndex is the counterpart classes over one attribute list, grouped
+// by the value of its first (join) attribute.
+type classIndex struct {
+	attrs   []int
+	byValue map[dataset.Value][]counterpartClass
+}
+
+// buildClasses groups the tuples with a non-null value on attrs[0] into
+// counterpart classes by their values on attrs, in tuple order.
+func buildClasses(ds *dataset.Dataset, attrs []int) map[dataset.Value][]counterpartClass {
+	out := make(map[dataset.Value][]counterpartClass)
+	pos := make(map[string]int)
+	key := make([]byte, 0, 4*len(attrs))
+	for t := 0; t < ds.NumTuples(); t++ {
+		v := ds.Get(t, attrs[0])
+		if v == dataset.Null {
+			continue
+		}
+		key = key[:0]
+		for _, a := range attrs {
+			key = binary.LittleEndian.AppendUint32(key, uint32(ds.Get(t, a)))
+		}
+		if i, ok := pos[string(key)]; ok {
+			out[v][i].n++
+			continue
+		}
+		pos[string(key)] = len(out[v])
+		out[v] = append(out[v], counterpartClass{rep: t, n: 1})
+	}
+	return out
+}
+
+// classKey renders an attribute list as a map key.
+func classKey(attrs []int) string {
+	b := make([]byte, 0, 4*len(attrs))
+	for _, a := range attrs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(a))
+	}
+	return string(b)
 }
 
 // NewSharedIndex returns an empty index over the dataset and the global
@@ -30,50 +85,56 @@ func NewSharedIndex(ds *dataset.Dataset, domains *pruning.Domains) *SharedIndex 
 	return &SharedIndex{
 		ds:      ds,
 		domains: domains,
-		init:    make(map[int]map[dataset.Value][]int),
+		classes: make(map[string]classIndex),
 		cand:    make(map[int]map[int32][]int),
 	}
 }
 
 // Rebind points the index at a mutated dataset and refreshed domains,
-// dropping the cached per-attribute indexes named in dirtyAttrs and
-// keeping the rest. An attribute's indexes may be kept only when nothing
-// they were built from changed: no tuple's initial value on the
-// attribute, no noisy cell's candidate set on it, and — because appends
-// and deletions add or remove bucket entries in every attribute — the
-// tuple count. Incremental cleaning sessions call this once per reclean
-// so the O(|D|) index builds of untouched attributes survive the delta.
+// dropping the cached indexes that read an attribute named in dirtyAttrs
+// and keeping the rest. An index may be kept only when nothing it was
+// built from changed: no tuple's initial value on any attribute it reads
+// (a class index reads its join attribute and every projected attribute),
+// no noisy cell's candidate set on it, and — because appends and
+// deletions add or remove entries in every attribute — the tuple count.
+// Incremental cleaning sessions call this once per reclean so the O(|D|)
+// index builds of untouched attributes survive the delta.
 func (s *SharedIndex) Rebind(ds *dataset.Dataset, domains *pruning.Domains, dirtyAttrs map[int]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ds = ds
 	s.domains = domains
 	for a := range dirtyAttrs {
-		delete(s.init, a)
 		delete(s.cand, a)
+	}
+	for k, ci := range s.classes {
+		for _, a := range ci.attrs {
+			if dirtyAttrs[a] {
+				delete(s.classes, k)
+				break
+			}
+		}
 	}
 }
 
-// Init returns the initial-value index of attr: value → tuples whose cell
-// (t, attr) initially holds that value. Nulls are excluded.
-func (s *SharedIndex) Init(attr int) map[dataset.Value][]int {
+// classesOver returns the counterpart classes over attrs, grouped by the
+// initial value of attrs[0]; tuples whose attrs[0] is null belong to no
+// class. Built on first request and kept until Rebind drops it.
+func (s *SharedIndex) classesOver(attrs []int) map[dataset.Value][]counterpartClass {
+	k := classKey(attrs)
 	s.mu.RLock()
-	idx := s.init[attr]
+	ci, ok := s.classes[k]
+	ds := s.ds
 	s.mu.RUnlock()
-	if idx != nil {
-		return idx
+	if ok {
+		return ci.byValue
 	}
-	idx = make(map[dataset.Value][]int)
-	for t := 0; t < s.ds.NumTuples(); t++ {
-		if v := s.ds.Get(t, attr); v != dataset.Null {
-			idx[v] = append(idx[v], t)
-		}
-	}
+	idx := buildClasses(ds, attrs)
 	s.mu.Lock()
-	if prev := s.init[attr]; prev != nil {
-		idx = prev // another shard built it concurrently; keep one copy
+	if prev, ok := s.classes[k]; ok {
+		idx = prev.byValue // another shard built it concurrently; keep one copy
 	} else {
-		s.init[attr] = idx
+		s.classes[k] = classIndex{attrs: slices.Clone(attrs), byValue: idx}
 	}
 	s.mu.Unlock()
 	return idx

@@ -18,13 +18,17 @@ func TestSharedIndexRebind(t *testing.T) {
 	idx := NewSharedIndex(ds, nil)
 
 	x, _ := ds.Dict().Lookup("x")
-	if got := idx.Init(0)[x]; len(got) != 2 {
-		t.Fatalf("init bucket for x = %v, want two tuples", got)
+	if got := idx.classesOver([]int{0})[x]; len(got) != 1 || got[0].n != 2 {
+		t.Fatalf("classes for x = %v, want one class of two tuples", got)
+	}
+	if got := idx.classesOver([]int{0, 1})[x]; len(got) != 2 {
+		t.Fatalf("classes for x projected on B = %v, want two singletons", got)
 	}
 	before := idx.Candidates(1)
 
-	// Mutate attribute B of tuple 1 and rebind with only B dirty.
+	// Mutate attribute B of tuples 1 and 2 and rebind with only B dirty.
 	ds.SetString(1, 1, "9")
+	ds.SetString(2, 1, "1")
 	idx.Rebind(ds, nil, map[int]bool{1: true})
 
 	after := idx.Candidates(1)
@@ -37,9 +41,14 @@ func TestSharedIndexRebind(t *testing.T) {
 		t.Errorf("stale bucket for 2 survived the rebind: %v", after[int32(two)])
 	}
 	_ = before
-	// Attribute A was clean: the cached index object must be reused.
-	if got := idx.Init(0)[x]; len(got) != 2 {
-		t.Errorf("clean attribute's index lost after rebind")
+	// Attribute A was clean: the class index reading only A survives.
+	if got := idx.classesOver([]int{0})[x]; len(got) != 1 || got[0].n != 2 {
+		t.Errorf("clean attribute's classes lost after rebind: %v", got)
+	}
+	// The index projecting B must be rebuilt: tuples 0 and 2 now agree
+	// on B, so the x group is one class of two.
+	if got := idx.classesOver([]int{0, 1})[x]; len(got) != 1 || got[0].n != 2 {
+		t.Errorf("classes projecting dirty B = %v, want one class of two", got)
 	}
 
 	// Rebinding with fresh domains changes candidate buckets on demand.

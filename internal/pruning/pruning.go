@@ -53,7 +53,16 @@ func NewDomains(cells []dataset.Cell, candidates [][]dataset.Value) *Domains {
 	return d
 }
 
-// Compute runs Algorithm 2 for the given noisy cells.
+// cond is one conditioning context of Algorithm 2: target attribute a
+// given sibling attribute g taking value vg.
+type cond struct {
+	a, g int
+	vg   dataset.Value
+}
+
+// Compute runs Algorithm 2 for the given noisy cells. Each distinct
+// context's candidate set is computed once per call and shared by every
+// cell that sees it.
 func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Config) *Domains {
 	d := &Domains{
 		Cells:      noisy,
@@ -69,6 +78,7 @@ func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Con
 		activeDomains[a] = dom
 		return dom
 	}
+	above := make(map[cond][]dataset.Value)
 	for i, c := range noisy {
 		d.index[c] = i
 		set := make(map[dataset.Value]struct{})
@@ -87,7 +97,13 @@ func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Con
 				if vg == dataset.Null {
 					continue
 				}
-				for _, v := range st.ValuesAbove(c.Attr, g, vg, cfg.Tau) {
+				k := cond{c.Attr, g, vg}
+				vs, ok := above[k]
+				if !ok {
+					vs = st.ValuesAbove(c.Attr, g, vg, cfg.Tau)
+					above[k] = vs
+				}
+				for _, v := range vs {
 					set[v] = struct{}{}
 				}
 			}

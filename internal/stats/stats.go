@@ -25,9 +25,10 @@ type Stats struct {
 	cond     []map[dataset.Value]map[dataset.Value]int // cond[a*N+g][v_g][v_a]
 }
 
-// Collect scans the dataset once per ordered attribute pair (parallelized
-// across pairs) and returns the statistics. Null cells are skipped: a
-// missing value neither counts as evidence nor conditions anything.
+// Collect counts frequencies and co-occurrences over the dataset
+// (parallelized across ordered attribute pairs) and returns the
+// statistics. Null cells are skipped: a missing value neither counts as
+// evidence nor conditions anything.
 func Collect(ds *dataset.Dataset) *Stats {
 	return CollectFiltered(ds, nil)
 }
@@ -37,27 +38,33 @@ func Collect(ds *dataset.Dataset) *Stats {
 // statistics over the cells error detection considers clean, so that
 // systematic errors — which are self-consistent in the dirty data — do
 // not manufacture supporting co-occurrence evidence for themselves.
+//
+// skip is called at most once per cell: each attribute's column is
+// materialized once with skipped cells read as Null, and the per-pair
+// counting passes read those columns.
 func CollectFiltered(ds *dataset.Dataset, skip func(t, a int) bool) *Stats {
-	n := ds.NumAttrs()
+	n, nt := ds.NumAttrs(), ds.NumTuples()
 	s := &Stats{
 		numAttrs: n,
-		total:    ds.NumTuples(),
+		total:    nt,
 		freq:     make([]map[dataset.Value]int, n),
 		cond:     make([]map[dataset.Value]map[dataset.Value]int, n*n),
 	}
-	get := func(t, a int) dataset.Value {
-		if skip != nil && skip(t, a) {
-			return dataset.Null
-		}
-		return ds.Get(t, a)
-	}
+	cols := make([][]dataset.Value, n)
 	for a := 0; a < n; a++ {
+		col := make([]dataset.Value, nt)
 		f := make(map[dataset.Value]int)
-		for t := 0; t < ds.NumTuples(); t++ {
-			if v := get(t, a); v != dataset.Null {
+		for t := range col {
+			v := ds.Get(t, a)
+			if v != dataset.Null && skip != nil && skip(t, a) {
+				v = dataset.Null
+			}
+			col[t] = v
+			if v != dataset.Null {
 				f[v]++
 			}
 		}
+		cols[a] = col
 		s.freq[a] = f
 	}
 
@@ -71,9 +78,9 @@ func CollectFiltered(ds *dataset.Dataset, skip func(t, a int) bool) *Stats {
 			defer wg.Done()
 			for j := range jobs {
 				m := make(map[dataset.Value]map[dataset.Value]int)
-				for t := 0; t < ds.NumTuples(); t++ {
-					vg := get(t, j.g)
-					va := get(t, j.a)
+				colG, colA := cols[j.g], cols[j.a]
+				for t, vg := range colG {
+					va := colA[t]
 					if vg == dataset.Null || va == dataset.Null {
 						continue
 					}

@@ -223,6 +223,55 @@ func TestSessionCoupledVariantEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecleanRebuildsStaleCounterpartClasses pins the invalidation rule
+// of the shared counterpart classes: a delta that rewrites only a
+// projected counterpart attribute (Val) of tuples inside one join group,
+// leaving the join attribute (Key) alone, must still drop the classes
+// keyed on Val. Kept, they would ground the group's relaxed-DC factors
+// against the old class sizes and the Reclean would drift from a fresh
+// Clean.
+func TestRecleanRebuildsStaleCounterpartClasses(t *testing.T) {
+	ds := NewDataset([]string{"Key", "Val"})
+	for g := 0; g < 6; g++ {
+		for i := 0; i < 14; i++ {
+			v := fmt.Sprintf("v%03d", g)
+			if i >= 11 {
+				v = fmt.Sprintf("bad%03d", g)
+			}
+			ds.Append([]string{fmt.Sprintf("k%03d", g), v})
+		}
+	}
+	cs := FD("fd", []string{"Key"}, []string{"Val"})
+	opts := DefaultOptions()
+	opts.Workers = 2
+	s, err := NewSession(ds, cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	// Move three tuples of group 0 from the majority value to the
+	// minority one: the (k000, v000) class shrinks from 11 to 8 and the
+	// (k000, bad000) class grows from 3 to 6.
+	for _, tup := range []int{0, 1, 2} {
+		if _, err := s.Upsert(tup, []string{"k000", "bad000"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	incr, err := s.Reclean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOpts := opts
+	refOpts.InitialWeights = s.Weights()
+	ref, err := New(refOpts).Clean(s.Dataset(), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "projected-attribute delta", incr, ref)
+}
+
 // TestSessionNoopReclean pins the degenerate delta: recleaning with no
 // pending mutations executes zero shards and reproduces the previous
 // result.
